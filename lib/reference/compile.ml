@@ -1,158 +1,190 @@
 open Sf_ir
 
-type 'ctx fn = 'ctx -> float
+(* One instruction per distinct DAG node; operands and destinations are
+   register numbers. *)
+type instr =
+  | Const of int * float
+  | Gather of int * int  (* register, access index *)
+  | Unary of Expr.unop * int * int
+  | Binary of Expr.binop * int * int * int
+  | Select of int * int * int * int  (* register, cond, if_true, if_false *)
+  | Call of Expr.func * int * int * int  (* a unary function reads its operand twice *)
 
-let truthy v = v <> 0.
-let of_bool b = if b then 1. else 0.
+type t = {
+  code : instr array;
+  accesses : (string * int list) array;
+  regs : float array array;  (* one block of cells per register *)
+  root : int;
+}
 
-let rec expr ~access ~env e =
-  match e with
-  | Expr.Const c -> fun _ -> c
-  | Expr.Access { field; offsets } -> access ~field ~offsets
-  | Expr.Var v -> (
-      match env v with
-      | Some f -> f
-      | None -> invalid_arg (Printf.sprintf "Compile.expr: unbound variable %s" v))
-  | Expr.Unary (Expr.Neg, x) ->
-      let cx = expr ~access ~env x in
-      fun ctx -> -.cx ctx
-  | Expr.Unary (Expr.Not, x) ->
-      let cx = expr ~access ~env x in
-      fun ctx -> of_bool (not (truthy (cx ctx)))
-  | Expr.Binary (op, x, y) -> (
-      let cx = expr ~access ~env x and cy = expr ~access ~env y in
-      match op with
-      | Expr.Add -> fun ctx -> cx ctx +. cy ctx
-      | Expr.Sub -> fun ctx -> cx ctx -. cy ctx
-      | Expr.Mul -> fun ctx -> cx ctx *. cy ctx
-      | Expr.Div -> fun ctx -> cx ctx /. cy ctx
-      | Expr.Lt -> fun ctx -> of_bool (cx ctx < cy ctx)
-      | Expr.Le -> fun ctx -> of_bool (cx ctx <= cy ctx)
-      | Expr.Gt -> fun ctx -> of_bool (cx ctx > cy ctx)
-      | Expr.Ge -> fun ctx -> of_bool (cx ctx >= cy ctx)
-      | Expr.Eq -> fun ctx -> of_bool (cx ctx = cy ctx)
-      | Expr.Ne -> fun ctx -> of_bool (cx ctx <> cy ctx)
-      (* Non-short-circuit, as in the predicated hardware pipeline. *)
-      | Expr.And ->
-          fun ctx ->
-            let a = truthy (cx ctx) in
-            let b = truthy (cy ctx) in
-            of_bool (a && b)
-      | Expr.Or ->
-          fun ctx ->
-            let a = truthy (cx ctx) in
-            let b = truthy (cy ctx) in
-            of_bool (a || b))
-  | Expr.Select { cond; if_true; if_false } ->
-      let cc = expr ~access ~env cond in
-      let ct = expr ~access ~env if_true in
-      let cf = expr ~access ~env if_false in
-      (* Both branches evaluate (predication), then one is selected. *)
-      fun ctx ->
-        let c = cc ctx in
-        let t = ct ctx in
-        let f = cf ctx in
-        if truthy c then t else f
-  | Expr.Call (f, args) -> (
-      let cargs = List.map (expr ~access ~env) args in
-      match (f, cargs) with
-      | Expr.Sqrt, [ x ] -> fun ctx -> Float.sqrt (x ctx)
-      | Expr.Abs, [ x ] -> fun ctx -> Float.abs (x ctx)
-      | Expr.Exp, [ x ] -> fun ctx -> Float.exp (x ctx)
-      | Expr.Log, [ x ] -> fun ctx -> Float.log (x ctx)
-      | Expr.Sin, [ x ] -> fun ctx -> Float.sin (x ctx)
-      | Expr.Cos, [ x ] -> fun ctx -> Float.cos (x ctx)
-      | Expr.Floor, [ x ] -> fun ctx -> Float.floor (x ctx)
-      | Expr.Ceil, [ x ] -> fun ctx -> Float.ceil (x ctx)
-      | Expr.Pow, [ x; y ] -> fun ctx -> Float.pow (x ctx) (y ctx)
-      | Expr.Min, [ x; y ] -> fun ctx -> Float.min (x ctx) (y ctx)
-      | Expr.Max, [ x; y ] -> fun ctx -> Float.max (x ctx) (y ctx)
-      | ( ( Expr.Sqrt | Expr.Abs | Expr.Exp | Expr.Log | Expr.Sin | Expr.Cos | Expr.Floor
-          | Expr.Ceil | Expr.Pow | Expr.Min | Expr.Max ),
-          _ ) ->
-          invalid_arg (Printf.sprintf "Compile.expr: wrong arity for %s" (Expr.func_name f)))
+type gather = int -> float array -> int -> int -> unit
 
-(* Bodies compile through the hash-consed DAG: every distinct node gets a
-   slot and is evaluated exactly once per cell, in topological (id)
-   order, so shared values — whether shared through lets or structurally
-   — are computed once and fanned out. Variables referencing a later (or
-   missing) binding stay unresolved [Var] leaves in the DAG and are
-   rejected at compile time, exactly like the historical
-   restricted-environment compiler. Bindings the result never reads are
-   still evaluated (their predicated accesses keep feeding the validity
-   mask). *)
-let body ~access (b : Expr.body) =
+let accesses t = t.accesses
+let registers t = Array.length t.regs
+
+let children n =
+  match Dag.view n with
+  | Dag.Const _ | Dag.Access _ | Dag.Var _ -> []
+  | Dag.Unary (_, x) -> [ x ]
+  | Dag.Binary (_, x, y) -> [ x; y ]
+  | Dag.Select { cond; if_true; if_false } -> [ cond; if_true; if_false ]
+  | Dag.Call (_, args) -> args
+
+(* Bodies compile through the hash-consed DAG: every distinct node is one
+   instruction, so shared values — whether shared through lets or
+   structurally — are computed once and fanned out. The order is a
+   depth-first post-order from each binding and then the result: a
+   topological order which, unlike raw id order (ids are handed out
+   right operand first), finishes one operand before starting the next,
+   so few values are live at once. Bindings the result never reads are
+   still emitted: their accesses keep feeding the validity mask.
+   Variables referencing a later (or missing) binding stay unresolved
+   [Var] leaves and are rejected. A register is reused once its node's
+   last reader has run; an instruction may write a register it reads,
+   because every instruction works cell by cell. *)
+let compile ?(cells = 64) (b : Expr.body) =
   let named, root = Dag.of_body_named b in
   let nodes =
     let seen : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-    List.concat_map Dag.topo (List.map snd named @ [ root ])
-    |> List.filter (fun t ->
-           if Hashtbl.mem seen (Dag.id t) then false
-           else begin
-             Hashtbl.add seen (Dag.id t) ();
-             true
-           end)
-    |> List.sort Dag.compare
+    let order = ref [] in
+    let rec visit n =
+      if not (Hashtbl.mem seen (Dag.id n)) then begin
+        Hashtbl.add seen (Dag.id n) ();
+        List.iter visit (children n);
+        order := n :: !order
+      end
+    in
+    List.iter visit (List.map snd named @ [ root ]);
+    Array.of_list (List.rev !order)
   in
-  let slot_of : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iteri (fun i t -> Hashtbl.replace slot_of (Dag.id t) i) nodes;
-  let n = List.length nodes in
-  let values = Array.make (max 1 n) 0. in
-  let slot t = Hashtbl.find slot_of (Dag.id t) in
-  let compile_node t : 'ctx fn =
-    match Dag.view t with
-    | Dag.Const c -> fun _ -> c
-    | Dag.Access { field; offsets } -> access ~field ~offsets
-    | Dag.Var v -> invalid_arg (Printf.sprintf "Compile.expr: unbound variable %s" v)
-    | Dag.Unary (Expr.Neg, x) ->
-        let sx = slot x in
-        fun _ -> -.values.(sx)
-    | Dag.Unary (Expr.Not, x) ->
-        let sx = slot x in
-        fun _ -> of_bool (not (truthy values.(sx)))
-    | Dag.Binary (op, x, y) -> (
-        let sx = slot x and sy = slot y in
+  let last_use : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  Array.iteri
+    (fun i n ->
+      (match Dag.view n with
+      | Dag.Var v -> invalid_arg (Printf.sprintf "Compile: unbound variable %s" v)
+      | Dag.Call (f, args) when List.length args <> Expr.func_arity f ->
+          invalid_arg (Printf.sprintf "Compile: wrong arity for %s" (Expr.func_name f))
+      | _ -> ());
+      List.iter (fun x -> Hashtbl.replace last_use (Dag.id x) i) (children n))
+    nodes;
+  Hashtbl.replace last_use (Dag.id root) max_int;
+  let reg_of : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let reg x = Hashtbl.find reg_of (Dag.id x) in
+  let free = ref [] and registers = ref 0 and accesses = ref [] in
+  let emit i =
+    let n = nodes.(i) in
+    List.iter
+      (fun x ->
+        if Hashtbl.find last_use (Dag.id x) = i && not (List.mem (reg x) !free) then
+          free := reg x :: !free)
+      (children n);
+    let d =
+      match !free with
+      | r :: rest ->
+          free := rest;
+          r
+      | [] ->
+          incr registers;
+          !registers - 1
+    in
+    Hashtbl.replace reg_of (Dag.id n) d;
+    if not (Hashtbl.mem last_use (Dag.id n)) then free := d :: !free;
+    match (Dag.view n, List.map reg (children n)) with
+    | Dag.Const c, _ -> Const (d, c)
+    | Dag.Access { field; offsets }, _ ->
+        accesses := (field, offsets) :: !accesses;
+        Gather (d, List.length !accesses - 1)
+    | Dag.Unary (op, _), [ x ] -> Unary (op, d, x)
+    | Dag.Binary (op, _, _), [ x; y ] -> Binary (op, d, x, y)
+    | Dag.Select _, [ c; x; y ] -> Select (d, c, x, y)
+    | Dag.Call (f, _), [ x ] -> Call (f, d, x, x)
+    | Dag.Call (f, _), [ x; y ] -> Call (f, d, x, y)
+    | _ -> assert false (* variables and arities were checked above *)
+  in
+  let code = Array.init (Array.length nodes) emit in
+  {
+    code;
+    accesses = Array.of_list (List.rev !accesses);
+    regs = Array.init !registers (fun _ -> Array.make cells 0.);
+    root = reg root;
+  }
+
+let halo t ~rank ~axes =
+  let lo = Array.make rank 0 and hi = Array.make rank 0 in
+  Array.iter
+    (fun (field, offsets) ->
+      List.iter2
+        (fun axis o ->
+          lo.(axis) <- max lo.(axis) (-o);
+          hi.(axis) <- max hi.(axis) o)
+        (axes field) offsets)
+    t.accesses;
+  (lo, hi)
+
+external get : float array -> int -> float = "%array_unsafe_get"
+external set : float array -> int -> float -> unit = "%array_unsafe_set"
+
+let[@inline] of_bool b = if b then 1. else 0.
+
+(* One dispatch per instruction, then a loop over the block's cells.
+   Comparisons yield 1.0 / 0.0 and any non-zero value is true; [And] and
+   [Or] read both operands and [Select] both arms, all already
+   evaluated, as in the predicated hardware pipeline. *)
+let eval t ~n ~gather out pos =
+  if n < 0 || n > Array.length t.regs.(t.root) then invalid_arg "Compile.eval: block too long";
+  let rr = t.regs in
+  for i = 0 to Array.length t.code - 1 do
+    match Array.unsafe_get t.code i with
+    | Const (d, v) -> Array.fill rr.(d) 0 n v
+    | Gather (d, a) -> gather a rr.(d) 0 n
+    | Unary (op, d, x) -> (
+        let d = rr.(d) and x = rr.(x) in
         match op with
-        | Expr.Add -> fun _ -> values.(sx) +. values.(sy)
-        | Expr.Sub -> fun _ -> values.(sx) -. values.(sy)
-        | Expr.Mul -> fun _ -> values.(sx) *. values.(sy)
-        | Expr.Div -> fun _ -> values.(sx) /. values.(sy)
-        | Expr.Lt -> fun _ -> of_bool (values.(sx) < values.(sy))
-        | Expr.Le -> fun _ -> of_bool (values.(sx) <= values.(sy))
-        | Expr.Gt -> fun _ -> of_bool (values.(sx) > values.(sy))
-        | Expr.Ge -> fun _ -> of_bool (values.(sx) >= values.(sy))
-        | Expr.Eq -> fun _ -> of_bool (values.(sx) = values.(sy))
-        | Expr.Ne -> fun _ -> of_bool (values.(sx) <> values.(sy))
-        (* Non-short-circuit, as in the predicated hardware pipeline (both
-           operand slots are unconditionally evaluated anyway). *)
-        | Expr.And -> fun _ -> of_bool (truthy values.(sx) && truthy values.(sy))
-        | Expr.Or -> fun _ -> of_bool (truthy values.(sx) || truthy values.(sy)))
-    | Dag.Select { cond; if_true; if_false } ->
-        (* Both branch slots evaluate (predication), then one is selected. *)
-        let sc = slot cond and st = slot if_true and sf = slot if_false in
-        fun _ -> if truthy values.(sc) then values.(st) else values.(sf)
-    | Dag.Call (f, args) -> (
-        match (f, List.map slot args) with
-        | Expr.Sqrt, [ x ] -> fun _ -> Float.sqrt values.(x)
-        | Expr.Abs, [ x ] -> fun _ -> Float.abs values.(x)
-        | Expr.Exp, [ x ] -> fun _ -> Float.exp values.(x)
-        | Expr.Log, [ x ] -> fun _ -> Float.log values.(x)
-        | Expr.Sin, [ x ] -> fun _ -> Float.sin values.(x)
-        | Expr.Cos, [ x ] -> fun _ -> Float.cos values.(x)
-        | Expr.Floor, [ x ] -> fun _ -> Float.floor values.(x)
-        | Expr.Ceil, [ x ] -> fun _ -> Float.ceil values.(x)
-        | Expr.Pow, [ x; y ] -> fun _ -> Float.pow values.(x) values.(y)
-        | Expr.Min, [ x; y ] -> fun _ -> Float.min values.(x) values.(y)
-        | Expr.Max, [ x; y ] -> fun _ -> Float.max values.(x) values.(y)
-        | ( ( Expr.Sqrt | Expr.Abs | Expr.Exp | Expr.Log | Expr.Sin | Expr.Cos | Expr.Floor
-            | Expr.Ceil | Expr.Pow | Expr.Min | Expr.Max ),
-            _ ) ->
-            invalid_arg (Printf.sprintf "Compile.expr: wrong arity for %s" (Expr.func_name f)))
-  in
-  let fns = Array.of_list (List.map compile_node nodes) in
-  let root_slot = slot root in
+        | Expr.Neg -> for k = 0 to n - 1 do set d k (-.get x k) done
+        | Expr.Not -> for k = 0 to n - 1 do set d k (of_bool (get x k = 0.)) done)
+    | Binary (op, d, x, y) -> (
+        let d = rr.(d) and x = rr.(x) and y = rr.(y) in
+        match op with
+        | Expr.Add -> for k = 0 to n - 1 do set d k (get x k +. get y k) done
+        | Expr.Sub -> for k = 0 to n - 1 do set d k (get x k -. get y k) done
+        | Expr.Mul -> for k = 0 to n - 1 do set d k (get x k *. get y k) done
+        | Expr.Div -> for k = 0 to n - 1 do set d k (get x k /. get y k) done
+        | Expr.Lt -> for k = 0 to n - 1 do set d k (of_bool (get x k < get y k)) done
+        | Expr.Le -> for k = 0 to n - 1 do set d k (of_bool (get x k <= get y k)) done
+        | Expr.Gt -> for k = 0 to n - 1 do set d k (of_bool (get x k > get y k)) done
+        | Expr.Ge -> for k = 0 to n - 1 do set d k (of_bool (get x k >= get y k)) done
+        | Expr.Eq -> for k = 0 to n - 1 do set d k (of_bool (get x k = get y k)) done
+        | Expr.Ne -> for k = 0 to n - 1 do set d k (of_bool (get x k <> get y k)) done
+        | Expr.And -> for k = 0 to n - 1 do set d k (of_bool (get x k <> 0. && get y k <> 0.)) done
+        | Expr.Or -> for k = 0 to n - 1 do set d k (of_bool (get x k <> 0. || get y k <> 0.)) done)
+    | Select (d, c, x, y) ->
+        let d = rr.(d) and c = rr.(c) and x = rr.(x) and y = rr.(y) in
+        for k = 0 to n - 1 do set d k (if get c k <> 0. then get x k else get y k) done
+    | Call (f, d, x, y) -> (
+        let d = rr.(d) and x = rr.(x) and y = rr.(y) in
+        match f with
+        | Expr.Sqrt -> for k = 0 to n - 1 do set d k (Float.sqrt (get x k)) done
+        | Expr.Abs -> for k = 0 to n - 1 do set d k (Float.abs (get x k)) done
+        | Expr.Exp -> for k = 0 to n - 1 do set d k (Float.exp (get x k)) done
+        | Expr.Log -> for k = 0 to n - 1 do set d k (Float.log (get x k)) done
+        | Expr.Sin -> for k = 0 to n - 1 do set d k (Float.sin (get x k)) done
+        | Expr.Cos -> for k = 0 to n - 1 do set d k (Float.cos (get x k)) done
+        | Expr.Floor -> for k = 0 to n - 1 do set d k (Float.floor (get x k)) done
+        | Expr.Ceil -> for k = 0 to n - 1 do set d k (Float.ceil (get x k)) done
+        | Expr.Pow -> for k = 0 to n - 1 do set d k (Float.pow (get x k) (get y k)) done
+        | Expr.Min -> for k = 0 to n - 1 do set d k (Float.min (get x k) (get y k)) done
+        | Expr.Max -> for k = 0 to n - 1 do set d k (Float.max (get x k) (get y k)) done)
+  done;
+  Array.blit rr.(t.root) 0 out pos n
+
+type 'ctx fn = 'ctx -> float
+
+(* The per-cell adapter: blocks of one cell whose gathers call the
+   caller's access functions on the current context. *)
+let body ~access b =
+  let t = compile ~cells:1 b in
+  let fns = Array.map (fun (field, offsets) -> access ~field ~offsets) t.accesses in
+  let out = [| 0. |] in
   fun ctx ->
-    for i = 0 to n - 1 do
-      values.(i) <- (Array.unsafe_get fns i) ctx
-    done;
-    values.(root_slot)
+    eval t ~n:1 ~gather:(fun a dst pos _ -> set dst pos (fns.(a) ctx)) out 0;
+    out.(0)

@@ -1,34 +1,53 @@
-(** Staged compilation of stencil expressions to closures.
+(** The batched evaluator for stencil bodies.
 
-    Evaluating the AST per cell costs a pattern match and environment
-    lookup per node; since the DSL is closed and analyzable (paper,
-    Sec. II), each stencil body can instead be compiled once into a tree
-    of closures over an abstract per-cell context ['ctx]. The caller
-    supplies the access compiler, which may pre-resolve everything that
-    does not depend on the cell — which tensor or window backs a field,
-    flattened offsets, boundary-condition constants — so the per-cell
-    work is only loads and arithmetic. Both the reference interpreter
-    and the simulator's stencil units execute through this path; the
-    semantics are those of {!Interp.eval_expr} (non-short-circuit
-    booleans, both select branches evaluated), which property tests
-    enforce. *)
+    A body compiles once into a flat instruction array over its
+    hash-consed DAG ({!Sf_ir.Dag}): one instruction per distinct node, in
+    topological order, registers reused by liveness. {!eval} then runs a
+    block of cells with one dispatch per node, each a tight loop over
+    unboxed [float array]s (X100-style vectorised interpretation). The
+    caller's {!gather} fills each access for the block and tracks
+    out-of-bounds cells itself. The semantics are {!Interp.eval_expr}'s,
+    bit for bit: both [Select] arms evaluate, [And]/[Or] do not
+    short-circuit, NaN and [-0.0] follow IEEE, and every node is
+    evaluated, including let bindings nothing reads (their out-of-bounds
+    reads still clear validity). *)
+
+type t
+(** A compiled body with its registers: evaluations must not overlap.
+    Holds no DAG nodes, so it may move to another domain. *)
+
+val compile : ?cells:int -> Sf_ir.Expr.body -> t
+(** Compile for blocks of up to [cells] cells (default 64). Raises
+    [Invalid_argument] on unbound or forward variable references and on
+    calls with the wrong arity. *)
+
+val accesses : t -> (string * int list) array
+(** The body's distinct field accesses; a {!gather} receives the index
+    into this array. *)
+
+val registers : t -> int
+(** Registers after liveness allocation: each holds one block. *)
+
+val halo : t -> rank:int -> axes:(string -> int list) -> int array * int array
+(** Per iteration-space axis, the largest negative offset (as a
+    non-negative distance) and the largest positive offset of any access;
+    [axes] maps a field to the axes its offsets index. A cell at least
+    that far from every edge reads no out-of-bounds value. *)
+
+type gather = int -> float array -> int -> int -> unit
+(** [gather a dst pos n] writes the values of access [a] for the block's
+    [n] cells to [dst.(pos) .. dst.(pos + n - 1)]. *)
+
+val eval : t -> n:int -> gather:gather -> float array -> int -> unit
+(** [eval t ~n ~gather out pos] evaluates the body on a block of [n]
+    cells and writes the results to [out.(pos) .. out.(pos + n - 1)].
+    Gathers run in instruction order, once per distinct access. *)
 
 type 'ctx fn = 'ctx -> float
 
-val expr :
-  access:(field:string -> offsets:int list -> 'ctx fn) ->
-  env:(string -> 'ctx fn option) ->
-  Sf_ir.Expr.t ->
-  'ctx fn
-(** Compile one expression; [env] resolves let-bound variables. Raises
-    [Invalid_argument] on unbound variables or bad arity. *)
-
 val body : access:(field:string -> offsets:int list -> 'ctx fn) -> Sf_ir.Expr.body -> 'ctx fn
-(** Compile a whole body through the hash-consed DAG ({!Sf_ir.Dag}):
-    every distinct node — let-bound or structurally shared — gets a slot
-    in a reused array and is evaluated exactly once per invocation, in
-    topological order (so the result is not reentrant, matching the
-    single-threaded execution engines). Bindings the result never reads
-    are still evaluated: their predicated accesses keep feeding the
-    validity mask. Raises [Invalid_argument] on unbound or forward
-    variable references. *)
+(** Per-cell adapter: compile the body and evaluate it as a block of one
+    cell, gathering each distinct access once per call through the
+    caller's access functions (resolved once, at compile time, in
+    instruction order). The result is not reentrant. Raises like
+    {!compile}. *)

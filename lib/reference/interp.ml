@@ -26,32 +26,36 @@ let eval_func f args =
       _ ) ->
       fail "wrong arity for %s" (Expr.func_name f)
 
+let eval_unop op x = match op with Expr.Neg -> -.x | Expr.Not -> of_bool (not (truthy x))
+
+let eval_binop op a b =
+  match op with
+  | Expr.Add -> a +. b
+  | Expr.Sub -> a -. b
+  | Expr.Mul -> a *. b
+  | Expr.Div -> a /. b
+  | Expr.Lt -> of_bool (a < b)
+  | Expr.Le -> of_bool (a <= b)
+  | Expr.Gt -> of_bool (a > b)
+  | Expr.Ge -> of_bool (a >= b)
+  | Expr.Eq -> of_bool (a = b)
+  | Expr.Ne -> of_bool (a <> b)
+  | Expr.And -> of_bool (truthy a && truthy b)
+  | Expr.Or -> of_bool (truthy a || truthy b)
+
 let rec eval_expr ~lookup ~env expr =
   match expr with
   | Expr.Const c -> c
   | Expr.Access { field; offsets } -> lookup ~field ~offsets
   | Expr.Var v -> (
       match env v with Some value -> value | None -> fail "unbound variable %s" v)
-  | Expr.Unary (Expr.Neg, x) -> -.eval_expr ~lookup ~env x
-  | Expr.Unary (Expr.Not, x) -> of_bool (not (truthy (eval_expr ~lookup ~env x)))
-  | Expr.Binary (op, x, y) -> (
+  | Expr.Unary (op, x) -> eval_unop op (eval_expr ~lookup ~env x)
+  | Expr.Binary (op, x, y) ->
       let a = eval_expr ~lookup ~env x in
       (* && and || are not short-circuit: the spatial pipeline evaluates
          both sides unconditionally, and so do we. *)
       let b = eval_expr ~lookup ~env y in
-      match op with
-      | Expr.Add -> a +. b
-      | Expr.Sub -> a -. b
-      | Expr.Mul -> a *. b
-      | Expr.Div -> a /. b
-      | Expr.Lt -> of_bool (a < b)
-      | Expr.Le -> of_bool (a <= b)
-      | Expr.Gt -> of_bool (a > b)
-      | Expr.Ge -> of_bool (a >= b)
-      | Expr.Eq -> of_bool (a = b)
-      | Expr.Ne -> of_bool (a <> b)
-      | Expr.And -> of_bool (truthy a && truthy b)
-      | Expr.Or -> of_bool (truthy a || truthy b))
+      eval_binop op a b
   | Expr.Select { cond; if_true; if_false } ->
       (* Both branches are evaluated (predication), then one selected. *)
       let c = eval_expr ~lookup ~env cond in
@@ -63,10 +67,20 @@ let rec eval_expr ~lookup ~env expr =
 let input_extent (p : Program.t) (f : Field.t) =
   match Field.extent f ~shape:p.Program.shape with [] -> [ 1 ] | extent -> extent
 
-(* Per-cell evaluation context shared with the compiled closures: the
-   current multi-index plus the out-of-bounds flag that drives "shrink"
-   validity. *)
-type cell_ctx = { idx : int array; mutable oob : bool }
+(* One access of a stencil body, resolved against its backing tensor:
+   the program axes the field spans, the offset along each, the field's
+   own row-major strides, and its boundary condition. *)
+type source = {
+  data : float array;
+  axes : int array;
+  offs : int array;
+  strides : int array;
+  boundary : Boundary.t;
+}
+
+(* Stencils are evaluated through the batched evaluator (Compile), in
+   blocks of at most [block_cells] cells along the innermost axis. *)
+let block_cells = 64
 
 let run_all (p : Program.t) ~inputs =
   Program.validate_exn p;
@@ -86,72 +100,86 @@ let run_all (p : Program.t) ~inputs =
               (Sf_support.Util.string_concat_map "," string_of_int extent);
           Hashtbl.replace store f.Field.name { t with Tensor.extent })
     p.Program.inputs;
+  let extents = Array.of_list shape in
+  let inner = extents.(rank - 1) in
+  (* The multi-index of the block's first cell, and which of the block's
+     cells read out of bounds. *)
+  let idx = Array.make rank 0 and oob = Array.make block_cells false in
+  let source (s : Stencil.t) (field, offsets) =
+    let data =
+      match Hashtbl.find_opt store field with
+      | Some t -> t.Tensor.data
+      | None -> fail "field %s evaluated before its producer" field
+    in
+    let axes = Array.of_list (Program.field_axes p field) in
+    let m = Array.length axes in
+    let strides = Array.make m 1 in
+    for d = m - 2 downto 0 do
+      strides.(d) <- strides.(d + 1) * extents.(axes.(d + 1))
+    done;
+    { data; axes; offs = Array.of_list offsets; strides; boundary = Stencil.boundary_for s field }
+  in
+  (* Blit the in-bounds run of the row and fill the other cells with the
+     boundary value. Along the innermost axis, when the field spans it
+     (as its last axis), cell k reads index idx + k + o; a field without
+     it reads one element for the whole block. An out-of-range outer
+     axis puts the whole block out of bounds. *)
+  let gather sources a dst pos n =
+    let src = sources.(a) in
+    let m = Array.length src.axes in
+    let step = if m > 0 && src.axes.(m - 1) = rank - 1 then 1 else 0 in
+    let base = ref 0 and center = ref 0 and ok = ref true in
+    for d = 0 to m - 1 do
+      let i = idx.(src.axes.(d)) in
+      let target = i + src.offs.(d) in
+      if d < m - step && (target < 0 || target >= extents.(src.axes.(d))) then ok := false;
+      base := !base + (target * src.strides.(d));
+      center := !center + (i * src.strides.(d))
+    done;
+    let first = if step = 1 then idx.(rank - 1) + src.offs.(m - 1) else 0 in
+    let lo = if !ok then max 0 (min n (-first)) else 0 in
+    let hi = if not !ok then 0 else if step = 0 then n else max lo (min n (inner - first)) in
+    if step = 1 && lo < hi then Array.blit src.data (!base + lo) dst (pos + lo) (hi - lo)
+    else if lo < hi then Array.fill dst pos n src.data.(!base);
+    (* The cells outside [lo, hi). *)
+    let k = ref (if lo = 0 then hi else 0) in
+    while !k < n do
+      oob.(!k) <- true;
+      dst.(pos + !k) <-
+        (match src.boundary with
+        | Boundary.Constant c -> c
+        | Boundary.Copy -> src.data.(!center + (step * !k)));
+      incr k;
+      if !k = lo then k := hi
+    done
+  in
   let results = ref [] in
   let eval_stencil (s : Stencil.t) =
     let out = Tensor.create shape in
     let valid = Array.make (Program.cells p) true in
-    (* The access compiler pre-resolves everything cell-independent:
-       which tensor backs the field, its strides, the offset vector and
-       the boundary condition. Per cell only bounds checks and a flat
-       load remain. *)
-    let access ~field ~offsets =
-      let axes = Array.of_list (Program.field_axes p field) in
-      let tensor =
-        match Hashtbl.find_opt store field with
-        | Some t -> t
-        | None -> fail "field %s evaluated before its producer" field
-      in
-      let offsets = Array.of_list offsets in
-      let extents = Array.map (fun axis -> List.nth shape axis) axes in
-      let strides =
-        (* Row-major strides of the field's own extent. *)
-        let n = Array.length extents in
-        let strides = Array.make n 1 in
-        for d = n - 2 downto 0 do
-          strides.(d) <- strides.(d + 1) * extents.(d + 1)
-        done;
-        strides
-      in
-      let n = Array.length axes in
-      let boundary = Stencil.boundary_for s field in
-      fun (ctx : cell_ctx) ->
-        let flat = ref 0 in
-        let center = ref 0 in
-        let in_bounds = ref true in
-        for d = 0 to n - 1 do
-          let base = ctx.idx.(axes.(d)) in
-          let target = base + offsets.(d) in
-          if target < 0 || target >= extents.(d) then in_bounds := false;
-          flat := !flat + (target * strides.(d));
-          center := !center + (base * strides.(d))
-        done;
-        if !in_bounds then Tensor.get_flat tensor !flat
-        else begin
-          ctx.oob <- true;
-          match boundary with
-          | Boundary.Constant c -> c
-          | Boundary.Copy -> Tensor.get_flat tensor !center
-        end
-    in
-    let compiled = Compile.body ~access s.Stencil.body in
-    let ctx = { idx = Array.make rank 0; oob = false } in
-    let extents = Array.of_list shape in
-    let cells = Program.cells p in
-    for flat = 0 to cells - 1 do
-      ctx.oob <- false;
-      Tensor.set_flat out flat (compiled ctx);
-      if s.Stencil.shrink && ctx.oob then valid.(flat) <- false;
-      (* Advance the mixed-radix counter. *)
-      let rec bump d =
-        if d >= 0 then begin
-          ctx.idx.(d) <- ctx.idx.(d) + 1;
-          if ctx.idx.(d) = extents.(d) then begin
-            ctx.idx.(d) <- 0;
-            bump (d - 1)
-          end
-        end
-      in
-      bump (rank - 1)
+    let body = Compile.compile ~cells:block_cells s.Stencil.body in
+    let gather = gather (Array.map (source s) (Compile.accesses body)) in
+    Array.fill idx 0 rank 0;
+    for row = 0 to (Program.cells p / inner) - 1 do
+      idx.(rank - 1) <- 0;
+      while idx.(rank - 1) < inner do
+        let n = min block_cells (inner - idx.(rank - 1)) in
+        let flat = (row * inner) + idx.(rank - 1) in
+        Array.fill oob 0 n false;
+        Compile.eval body ~n ~gather out.Tensor.data flat;
+        if s.Stencil.shrink then
+          for k = 0 to n - 1 do
+            if oob.(k) then valid.(flat + k) <- false
+          done;
+        idx.(rank - 1) <- idx.(rank - 1) + n
+      done;
+      (* Advance the mixed-radix counter over the outer axes. *)
+      let d = ref (rank - 2) in
+      while !d > 0 && idx.(!d) = extents.(!d) - 1 do
+        idx.(!d) <- 0;
+        decr d
+      done;
+      if !d >= 0 then idx.(!d) <- idx.(!d) + 1
     done;
     Hashtbl.replace store s.Stencil.name out;
     results := (s.Stencil.name, { tensor = out; valid }) :: !results

@@ -3,7 +3,8 @@
     Stencil evaluations execute one at a time in topological order — no
     fusion or inter-stencil parallelism — over real arrays. This is the
     oracle against which the spatial simulator's streamed results are
-    validated, and doubles as a measured CPU baseline.
+    validated, and doubles as a measured CPU baseline. Bodies run through
+    the batched evaluator ({!Compile}) in row blocks of up to 64 cells.
 
     Boundary semantics match the DSL: per-dimension out-of-bounds reads
     are replaced according to the input's boundary condition; a stencil
@@ -27,8 +28,16 @@ val eval_expr :
   Sf_ir.Expr.t ->
   float
 (** Evaluate one expression given an access oracle and a let-binding
-    environment. Exposed for testing and for the simulator's compute
-    stage, which shares these semantics. *)
+    environment: the tree-walking, per-cell statement of the semantics
+    that the batched evaluator ({!Compile}) is tested against. *)
+
+val eval_unop : Sf_ir.Expr.unop -> float -> float
+val eval_binop : Sf_ir.Expr.binop -> float -> float -> float
+
+val eval_func : Sf_ir.Expr.func -> float list -> float
+(** The operators of {!eval_expr} on values, which constant folding
+    shares; [eval_func] raises {!Runtime_error} on a wrong number of
+    arguments. *)
 
 val run_all : Sf_ir.Program.t -> inputs:(string * Tensor.t) list -> (string * result) list
 (** Execute every stencil; returns results for all stencils in topological

@@ -46,7 +46,6 @@ let of_array extent data =
   { extent; data = Array.copy data }
 
 let copy t = { t with data = Array.copy t.data }
-let fill t v = Array.fill t.data 0 (Array.length t.data) v
 
 let map2 f a b =
   if a.extent <> b.extent then invalid_arg "Tensor.map2: extent mismatch";
@@ -61,20 +60,6 @@ let max_abs_diff a b =
       if d > !worst then worst := d)
     a.data;
   !worst
-
-let equal_approx ?(rel = 1e-6) ?(abs = 1e-9) a b =
-  a.extent = b.extent
-  && begin
-       let ok = ref true in
-       Array.iteri
-         (fun i x -> if not (Sf_support.Util.float_close ~rel ~abs x b.data.(i)) then ok := false)
-         a.data;
-       !ok
-     end
-
-let pp fmt t =
-  Format.fprintf fmt "tensor[%s]"
-    (Sf_support.Util.string_concat_map "x" string_of_int t.extent)
 
 let iterate_region extent f =
   let rank = List.length extent in

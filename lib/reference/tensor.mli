@@ -26,16 +26,12 @@ val set_flat : t -> int -> float -> unit
 
 val in_bounds : t -> int list -> bool
 val copy : t -> t
-val fill : t -> float -> unit
 
 val map2 : (float -> float -> float) -> t -> t -> t
 (** Pointwise combination; extents must match. *)
 
 val max_abs_diff : t -> t -> float
 (** Largest absolute elementwise difference (for validation). *)
-
-val equal_approx : ?rel:float -> ?abs:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 val slice : t -> origin:int list -> extent:int list -> t
 (** Copy out a rectangular sub-tensor; raises [Invalid_argument] when the

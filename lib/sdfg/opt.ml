@@ -1,43 +1,9 @@
 open Sf_ir
 
-let eval_const_unop op c =
-  match op with
-  | Expr.Neg -> -.c
-  | Expr.Not -> if c <> 0. then 0. else 1.
-
-let eval_const_binop op a b =
-  let of_bool p = if p then 1. else 0. in
-  match op with
-  | Expr.Add -> a +. b
-  | Expr.Sub -> a -. b
-  | Expr.Mul -> a *. b
-  | Expr.Div -> a /. b
-  | Expr.Lt -> of_bool (a < b)
-  | Expr.Le -> of_bool (a <= b)
-  | Expr.Gt -> of_bool (a > b)
-  | Expr.Ge -> of_bool (a >= b)
-  | Expr.Eq -> of_bool (a = b)
-  | Expr.Ne -> of_bool (a <> b)
-  | Expr.And -> of_bool (a <> 0. && b <> 0.)
-  | Expr.Or -> of_bool (a <> 0. || b <> 0.)
-
-let eval_const_call f args =
-  match (f, args) with
-  | Expr.Sqrt, [ x ] -> Some (Float.sqrt x)
-  | Expr.Abs, [ x ] -> Some (Float.abs x)
-  | Expr.Exp, [ x ] -> Some (Float.exp x)
-  | Expr.Log, [ x ] -> Some (Float.log x)
-  | Expr.Pow, [ x; y ] -> Some (Float.pow x y)
-  | Expr.Min, [ x; y ] -> Some (Float.min x y)
-  | Expr.Max, [ x; y ] -> Some (Float.max x y)
-  | Expr.Sin, [ x ] -> Some (Float.sin x)
-  | Expr.Cos, [ x ] -> Some (Float.cos x)
-  | Expr.Floor, [ x ] -> Some (Float.floor x)
-  | Expr.Ceil, [ x ] -> Some (Float.ceil x)
-  | ( ( Expr.Sqrt | Expr.Abs | Expr.Exp | Expr.Log | Expr.Pow | Expr.Min | Expr.Max | Expr.Sin
-      | Expr.Cos | Expr.Floor | Expr.Ceil ),
-      _ ) ->
-      None
+(* Constants fold with the reference interpreter's operators, so a
+   folded value cannot disagree with the interpreter or the batched
+   evaluator: NaN compares Eq-false and Ne-true. *)
+module Interp = Sf_reference.Interp
 
 (* Constant folding as a linear pass over the DAG: each distinct node is
    folded exactly once, however often the inlined tree repeats it. The
@@ -56,12 +22,12 @@ let fold_dag ?(preserve_access_effects = false) root =
           | Dag.Unary (op, x) -> (
               let x' = go x in
               match Dag.view x' with
-              | Dag.Const c -> Dag.const (eval_const_unop op c)
+              | Dag.Const c -> Dag.const (Interp.eval_unop op c)
               | _ -> Dag.unary op x')
           | Dag.Binary (op, x, y) -> (
               let x' = go x and y' = go y in
               match (op, Dag.view x', Dag.view y') with
-              | _, Dag.Const a, Dag.Const b -> Dag.const (eval_const_binop op a b)
+              | _, Dag.Const a, Dag.Const b -> Dag.const (Interp.eval_binop op a b)
               (* IEEE-safe identities only: adding/subtracting zero and
                  multiplying/dividing by one preserve NaN and Inf
                  propagation. *)
@@ -95,9 +61,9 @@ let fold_dag ?(preserve_access_effects = false) root =
                   args'
               in
               if List.length consts = List.length args' then
-                match eval_const_call f consts with
-                | Some v -> Dag.const v
-                | None -> Dag.call f args'
+                match Interp.eval_func f consts with
+                | v -> Dag.const v
+                | exception Interp.Runtime_error _ -> Dag.call f args'
               else Dag.call f args')
         in
         Hashtbl.replace memo (Dag.id t) t';

@@ -17,17 +17,6 @@
     - CSE is let-extraction ({!Sf_ir.Dag.extract}): every shared node is
       bound once and fanned out. *)
 
-val eval_const_unop : Sf_ir.Expr.unop -> float -> float
-
-val eval_const_binop : Sf_ir.Expr.binop -> float -> float -> float
-(** IEEE semantics, pinned by regression tests: [Eq] on NaN is false and
-    [Ne] on NaN is true (OCaml [=]/[<>] on floats), exactly as
-    [Reference.Interp] and the compiled simulator evaluate them — a
-    folded comparison must equal the runtime one bit-for-bit. *)
-
-val eval_const_call : Sf_ir.Expr.func -> float list -> float option
-(** [None] when the argument count does not match the function. *)
-
 val fold_dag : ?preserve_access_effects:bool -> Sf_ir.Dag.t -> Sf_ir.Dag.t
 (** Fold one DAG (memoized per node id). With [preserve_access_effects]
     (used for "shrink" stencils, whose validity masks depend on every

@@ -1,5 +1,6 @@
 open Sf_ir
 module Tensor = Sf_reference.Tensor
+module Compile = Sf_reference.Compile
 
 type input_binding = {
   field : string;
@@ -8,23 +9,31 @@ type input_binding = {
 }
 
 (* Ring buffer over the flattened element stream of one full-rank input:
-   the shift register of Fig. 6. [newest] is the flat element index of the
-   most recently received element (-1 before any data arrives). *)
-type window = { data : float array; cap : int; mutable newest : int }
+   the shift register of Fig. 6. [cap] is the window the internal-buffer
+   analysis sized, and every read is checked against it; the physical
+   ring is longer (see [create]) so that words evaluated a few steps
+   late still find their elements. [newest] is the flat element index of
+   the most recently received element (-1 before any data arrives) and
+   [head] its slot in [data]. *)
+type window = { data : float array; cap : int; mutable newest : int; mutable head : int }
 
+(* [axes] are the iteration-space axes the input spans and [strides]
+   its storage strides along them: the element stream's for a window,
+   the tensor's own row-major ones when prefetched. *)
 type input_state = {
   field : string;
   channel : Channel.t option;
   window : window option;
   prefetched : Tensor.t option;
-  axes : int list;
+  axes : int array;
+  strides : int array;
   start_step : int;
   boundary : Boundary.t;
 }
 
-(* Mutable per-cell context threaded through the compiled expression:
-   the flat cell index, its multi-index, and the out-of-bounds flag. *)
-type cell_ctx = { mutable cell_flat : int; idx : int array; mutable oob : bool }
+(* One distinct access of the body: its input, the offset along each of
+   the input's axes, and the flat storage offset they make. *)
+type tap = { input : int; offs : int array; flat : int }
 
 type t = {
   name : string;
@@ -36,25 +45,39 @@ type t = {
   compute_cycles : int;
   inputs : input_state array;
   outputs : Channel.t array;
-  compiled : cell_ctx -> float;
-  ctx : cell_ctx;
+  body : Compile.t;
+  taps : tap array;
+  (* Cells at least this far from the low/high edge of every axis read
+     no out-of-bounds value (Compile.halo). *)
+  halo_lo : int array;
+  halo_hi : int array;
+  (* The block of pending words being evaluated, from the head: per cell
+     its multi-index ([cell * rank + axis]), whether it lies inside the
+     halo box, and whether an access left the domain. *)
+  block_words : int;
+  block_idx : int array;
+  block_interior : bool array;
+  block_oob : bool array;
+  block_out : float array;
   shrink : bool;
   mutable step : int;
   (* The delay line of computed-but-not-yet-emitted words, as a
      structure-of-arrays ring: release cycle per slot, plus the lane
      values and validity flattened at [slot * w]. Occupancy never
      exceeds compute_cycles + 1 (the pipeline depth guard in try_step),
-     so compute_cycles + 2 slots suffice. *)
+     so compute_cycles + 2 slots suffice. Words are issued and emitted
+     in order, so the head is word [step - init_max - pend_count]. A
+     step only records every window's [newest] ([pend_newest] at
+     [slot * inputs + input]); the values are evaluated in blocks when
+     the head is due, and the first [pend_ready] entries hold them. *)
   pend_release : int array;
+  pend_newest : int array;
   pend_values : float array;
   pend_valid : bool array;
   pend_cap : int;
   mutable pend_head : int;
   mutable pend_count : int;
-  (* Next flat cell index expected by the incremental multi-index: when
-     compute proceeds sequentially (the common case) [ctx.idx] is
-     advanced by carry propagation instead of per-lane division. *)
-  mutable next_flat : int;
+  mutable pend_ready : int;
   mutable stalls : int;
   (* Fault-injection flag (Fault_plan): a hiccup freezes the pipeline
      for the cycle. Cleared by the injector each cycle. *)
@@ -62,124 +85,84 @@ type t = {
   probe : Telemetry.probe option;
 }
 
-let window_get win e =
-  assert (e <= win.newest && e > win.newest - win.cap && e >= 0);
-  win.data.(e mod win.cap)
+(* Read element [e] as of the step that recorded [newest]: it must have
+   arrived by then and still be inside the analysed window. Inlined so
+   that the float is not boxed. *)
+let[@inline] window_get win ~newest e =
+  assert (e <= newest && e > newest - win.cap && e >= 0);
+  let slot = win.head - (win.newest - e) in
+  win.data.(if slot < 0 then slot + Array.length win.data else slot)
 
 let window_append win v =
   win.newest <- win.newest + 1;
-  win.data.(win.newest mod win.cap) <- v
+  win.head <- (if win.head + 1 = Array.length win.data then 0 else win.head + 1);
+  win.data.(win.head) <- v
+
+(* Pending words are evaluated in blocks of up to this many cells. *)
+let block_cells = 64
 
 let create ?probe ~program ~stencil ~compute_cycles ~inputs ~outputs () =
-  let shape_list = program.Program.shape in
-  let shape = Array.of_list shape_list in
+  let shape = Array.of_list program.Program.shape in
   let strides = Array.of_list (Program.strides program) in
+  let rank = Array.length shape in
   let w = program.Program.vector_width in
-  let cells = Program.cells program in
-  let n_words = cells / w in
+  let n_words = Program.cells program / w in
   let buffers = Sf_analysis.Internal_buffer.of_stencil program stencil in
   let init_max = Sf_analysis.Internal_buffer.stencil_init_cycles program stencil in
-  let full_rank = Program.rank program in
-  let input_states =
-    List.map
-      (fun (b : input_binding) ->
-        let axes = Program.field_axes program b.field in
-        let is_full = List.length axes = full_rank in
-        let window, start_step =
-          if not is_full then (None, 0)
-          else begin
-            let info =
-              List.find
-                (fun (ib : Sf_analysis.Internal_buffer.t) -> String.equal ib.field b.field)
-                buffers
-            in
-            let init_extra = Sf_support.Util.ceil_div info.init_elements (max 1 w) in
-            let cap =
-              ((init_extra + 2) * w) + max 0 (-info.Sf_analysis.Internal_buffer.min_flat) + w
-            in
-            ( Some { data = Array.make cap 0.; cap; newest = -1 },
-              init_max - init_extra )
-          end
+  let input_state (b : input_binding) =
+    let axes = Array.of_list (Program.field_axes program b.field) in
+    let window, start_step, strides =
+      if Array.length axes <> rank then begin
+        let m = Array.length axes in
+        let own = Array.make m 1 in
+        for d = m - 2 downto 0 do
+          own.(d) <- own.(d + 1) * shape.(axes.(d + 1))
+        done;
+        (None, 0, own)
+      end
+      else begin
+        let info =
+          List.find
+            (fun (ib : Sf_analysis.Internal_buffer.t) -> String.equal ib.field b.field)
+            buffers
         in
-        {
-          field = b.field;
-          channel = b.channel;
-          window;
-          prefetched = b.prefetched;
-          axes;
-          start_step;
-          boundary = Stencil.boundary_for stencil b.field;
-        })
-      inputs
-  in
-  let inputs_arr = Array.of_list input_states in
-  (* Compile the body once: every access pre-resolves its input, flat
-     offset, per-dimension bounds data and boundary condition, leaving
-     only loads and arithmetic per cell (see Sf_reference.Compile). *)
-  let access ~field ~offsets =
-    let input =
-      match Array.find_opt (fun i -> String.equal i.field field) inputs_arr with
-      | Some i -> i
-      | None -> failwith (Printf.sprintf "stencil %s: unbound access to %s" stencil.Stencil.name field)
+        let init_extra = Sf_support.Util.ceil_div info.init_elements (max 1 w) in
+        let cap =
+          ((init_extra + 2) * w) + max 0 (-info.Sf_analysis.Internal_buffer.min_flat) + w
+        in
+        (* A word is evaluated at the latest when it is emitted, at most
+           compute_cycles + 1 steps after it was recorded; that many
+           more words of ring keep its elements resident. *)
+        let size = cap + ((compute_cycles + 2) * w) in
+        let window = { data = Array.make size 0.; cap; newest = -1; head = size - 1 } in
+        (Some window, init_max - init_extra, strides)
+      end
     in
-    match input.window with
-    | Some win ->
-        let rank = Array.length shape in
-        let offs = Array.of_list offsets in
-        let flat =
-          List.fold_left ( + ) 0 (List.mapi (fun d o -> o * strides.(d)) offsets)
-        in
-        let boundary = input.boundary in
-        fun (ctx : cell_ctx) ->
-          let in_bounds = ref true in
-          for d = 0 to rank - 1 do
-            let i = ctx.idx.(d) + offs.(d) in
-            if i < 0 || i >= shape.(d) then in_bounds := false
-          done;
-          if !in_bounds then window_get win (ctx.cell_flat + flat)
-          else begin
-            ctx.oob <- true;
-            match boundary with
-            | Boundary.Constant c -> c
-            | Boundary.Copy -> window_get win ctx.cell_flat
-          end
-    | None ->
-        let tensor = Option.get input.prefetched in
-        let axes = Array.of_list input.axes in
-        let offs = Array.of_list offsets in
-        let n = Array.length axes in
-        let extents = Array.map (fun axis -> shape.(axis)) axes in
-        let tstrides =
-          let st = Array.make (max 1 n) 1 in
-          for d = n - 2 downto 0 do
-            st.(d) <- st.(d + 1) * extents.(d + 1)
-          done;
-          st
-        in
-        let boundary = input.boundary in
-        fun (ctx : cell_ctx) ->
-          let flat = ref 0 in
-          let center = ref 0 in
-          let in_bounds = ref true in
-          for d = 0 to n - 1 do
-            let base = ctx.idx.(axes.(d)) in
-            let target = base + offs.(d) in
-            if target < 0 || target >= extents.(d) then in_bounds := false;
-            flat := !flat + (target * tstrides.(d));
-            center := !center + (base * tstrides.(d))
-          done;
-          if !in_bounds then Tensor.get_flat tensor !flat
-          else begin
-            ctx.oob <- true;
-            match boundary with
-            | Boundary.Constant c -> c
-            | Boundary.Copy -> Tensor.get_flat tensor !center
-          end
+    {
+      field = b.field;
+      channel = b.channel;
+      window;
+      prefetched = b.prefetched;
+      axes;
+      strides;
+      start_step;
+      boundary = Stencil.boundary_for stencil b.field;
+    }
   in
-  (* Compile.body schedules the body's hash-consed DAG into slots: every
-     shared node (let-bound or structural) is evaluated once per cell,
-     mirroring the fan-out of the spatial pipeline. *)
-  let compiled = Sf_reference.Compile.body ~access stencil.Stencil.body in
+  let inputs = Array.of_list (List.map input_state inputs) in
+  let block_words = max 1 (block_cells / w) in
+  let n = block_words * w in
+  let body = Compile.compile ~cells:n stencil.Stencil.body in
+  let tap (field, offsets) =
+    match Array.find_index (fun (i : input_state) -> String.equal i.field field) inputs with
+    | None -> failwith (Printf.sprintf "stencil %s: unbound access to %s" stencil.Stencil.name field)
+    | Some input ->
+        let offs = Array.of_list offsets in
+        let flat = ref 0 in
+        Array.iteri (fun d o -> flat := !flat + (o * inputs.(input).strides.(d))) offs;
+        { input; offs; flat = !flat }
+  in
+  let halo_lo, halo_hi = Compile.halo body ~rank ~axes:(Program.field_axes program) in
   let pend_cap = compute_cycles + 2 in
   {
     name = stencil.Stencil.name;
@@ -189,19 +172,27 @@ let create ?probe ~program ~stencil ~compute_cycles ~inputs ~outputs () =
     n_words;
     init_max;
     compute_cycles;
-    inputs = inputs_arr;
+    inputs;
     outputs = Array.of_list outputs;
-    compiled;
-    ctx = { cell_flat = 0; idx = Array.make (Array.length shape) 0; oob = false };
+    body;
+    taps = Array.map tap (Compile.accesses body);
+    halo_lo;
+    halo_hi;
+    block_words;
+    block_idx = Array.make (n * rank) 0;
+    block_interior = Array.make n false;
+    block_oob = Array.make n false;
+    block_out = Array.make n 0.;
     shrink = stencil.Stencil.shrink;
     step = 0;
     pend_release = Array.make pend_cap 0;
+    pend_newest = Array.make (pend_cap * Array.length inputs) 0;
     pend_values = Array.make (pend_cap * w) 0.;
     pend_valid = Array.make (pend_cap * w) true;
     pend_cap;
     pend_head = 0;
     pend_count = 0;
-    next_flat = 0;
+    pend_ready = 0;
     stalls = 0;
     hiccup = false;
     probe;
@@ -211,7 +202,6 @@ let name t = t.name
 let total_steps t = t.init_max + t.n_words
 let is_done t = t.step >= total_steps t && t.pend_count = 0
 let stall_cycles t = t.stalls
-let steps_completed t = t.step
 let add_stalls t n = t.stalls <- t.stalls + n
 
 let input_channels t =
@@ -220,55 +210,111 @@ let input_channels t =
 let output_channels t = Array.to_list t.outputs
 let next_release t = if t.pend_count = 0 then max_int else t.pend_release.(t.pend_head)
 
-(* Input [i] must consume a word at pipeline step [s]. *)
-let consuming_at i s =
-  match i.window with
-  | None -> false (* prefetched: never streams *)
-  | Some _ -> s >= i.start_step
+(* Input [i] must consume a word at the current step (a prefetched
+   input never streams). *)
+let consuming_active t i =
+  Option.is_some i.window && t.step >= i.start_step && t.step - i.start_step < t.n_words
 
-let consuming_active t i = consuming_at i t.step && t.step - i.start_step < t.n_words
+(* Whether block cell [k] reads [tap] of [input] inside the domain. *)
+let in_domain t input tap k =
+  let base = k * Array.length t.shape in
+  let ok = ref true in
+  for d = 0 to Array.length input.axes - 1 do
+    let i = t.block_idx.(base + input.axes.(d)) + tap.offs.(d) in
+    if i < 0 || i >= t.shape.(input.axes.(d)) then ok := false
+  done;
+  !ok
 
-(* Compute one output word into the pending slot whose value base is
-   [vbase]. The multi-index for boundary predication is carried
-   incrementally from cell to cell; the division rebuild only runs if a
-   word is ever computed out of sequence. *)
-let compute_into t word_index vbase =
-  let rank = Array.length t.shape in
-  for lane = 0 to t.w - 1 do
-    let cell_flat = (word_index * t.w) + lane in
-    if cell_flat <> t.next_flat then begin
-      let rec fill d rem =
-        if d < rank then begin
-          t.ctx.idx.(d) <- rem / t.strides.(d);
-          fill (d + 1) (rem mod t.strides.(d))
+let head_word t = t.step - t.init_max - t.pend_count
+
+(* Fill access [a] for the block's [n] cells. Window reads are checked
+   against the [newest] recorded at each word's own step. *)
+let gather t a dst pos n =
+  let tap = t.taps.(a) in
+  let input = t.inputs.(tap.input) in
+  let w = t.w in
+  match input.window with
+  | Some win ->
+      let ni = Array.length t.inputs and cell0 = head_word t * w in
+      for q = 0 to (n / w) - 1 do
+        let slot = (t.pend_head + q) mod t.pend_cap in
+        let newest = t.pend_newest.((slot * ni) + tap.input) in
+        for k = q * w to ((q + 1) * w) - 1 do
+          let cell = cell0 + k in
+          if t.block_interior.(k) || in_domain t input tap k then
+            dst.(pos + k) <- window_get win ~newest (cell + tap.flat)
+          else begin
+            t.block_oob.(k) <- true;
+            dst.(pos + k) <-
+              (match input.boundary with
+              | Boundary.Constant c -> c
+              | Boundary.Copy -> window_get win ~newest cell)
+          end
+        done
+      done
+  | None ->
+      let data = (Option.get input.prefetched).Tensor.data in
+      let rank = Array.length t.shape in
+      for k = 0 to n - 1 do
+        let center = ref 0 in
+        for d = 0 to Array.length input.axes - 1 do
+          center := !center + (t.block_idx.((k * rank) + input.axes.(d)) * input.strides.(d))
+        done;
+        if t.block_interior.(k) || in_domain t input tap k then
+          dst.(pos + k) <- data.(!center + tap.flat)
+        else begin
+          t.block_oob.(k) <- true;
+          dst.(pos + k) <-
+            (match input.boundary with Boundary.Constant c -> c | Boundary.Copy -> data.(!center))
         end
-      in
-      fill 0 cell_flat;
-      t.next_flat <- cell_flat
-    end;
-    t.ctx.cell_flat <- cell_flat;
-    t.ctx.oob <- false;
-    t.pend_values.(vbase + lane) <- t.compiled t.ctx;
-    t.pend_valid.(vbase + lane) <- not (t.shrink && t.ctx.oob);
-    t.next_flat <- t.next_flat + 1;
-    let d = ref (rank - 1) in
-    let carry = ref (rank > 0) in
-    while !carry do
-      let v = t.ctx.idx.(!d) + 1 in
-      if v >= t.shape.(!d) && !d > 0 then begin
-        t.ctx.idx.(!d) <- 0;
+      done
+
+(* Evaluate the pending words that have no values yet, up to one block
+   from the head. Their cells are consecutive, so the multi-index is
+   carried from cell to cell. *)
+let evaluate_pending t =
+  let rank = Array.length t.shape in
+  let words = min t.pend_count t.block_words in
+  let n = words * t.w in
+  let idx = t.block_idx in
+  let rem = ref (head_word t * t.w) in
+  for d = 0 to rank - 1 do
+    idx.(d) <- !rem / t.strides.(d);
+    rem := !rem mod t.strides.(d)
+  done;
+  for k = 0 to n - 1 do
+    let base = k * rank in
+    if k > 0 then begin
+      Array.blit idx (base - rank) idx base rank;
+      let d = ref (rank - 1) in
+      while !d > 0 && idx.(base + !d) = t.shape.(!d) - 1 do
+        idx.(base + !d) <- 0;
         decr d
-      end
-      else begin
-        t.ctx.idx.(!d) <- v;
-        carry := false
-      end
+      done;
+      idx.(base + !d) <- idx.(base + !d) + 1
+    end;
+    let inside = ref true in
+    for d = 0 to rank - 1 do
+      let i = idx.(base + d) in
+      if i < t.halo_lo.(d) || i >= t.shape.(d) - t.halo_hi.(d) then inside := false
+    done;
+    t.block_interior.(k) <- !inside
+  done;
+  Array.fill t.block_oob 0 n false;
+  Compile.eval t.body ~n ~gather:(gather t) t.block_out 0;
+  for q = 0 to words - 1 do
+    let vbase = ((t.pend_head + q) mod t.pend_cap) * t.w in
+    Array.blit t.block_out (q * t.w) t.pend_values vbase t.w;
+    for lane = 0 to t.w - 1 do
+      t.pend_valid.(vbase + lane) <- not (t.shrink && t.block_oob.((q * t.w) + lane))
     done
-  done
+  done;
+  t.pend_ready <- words
 
 (* Emit the pending head: copy its lanes into a fresh slot of every
    output channel, in place. *)
 let emit_head t =
+  if t.pend_ready = 0 then evaluate_pending t;
   let vbase = t.pend_head * t.w in
   for i = 0 to Array.length t.outputs - 1 do
     let c = t.outputs.(i) in
@@ -277,7 +323,8 @@ let emit_head t =
     Array.blit t.pend_valid vbase (Channel.Unsafe.buf_valid c) base t.w
   done;
   t.pend_head <- (t.pend_head + 1) mod t.pend_cap;
-  t.pend_count <- t.pend_count - 1
+  t.pend_count <- t.pend_count - 1;
+  t.pend_ready <- t.pend_ready - 1
 
 let outputs_have_space t =
   let ok = ref true in
@@ -306,6 +353,29 @@ let shift_in t i =
   done;
   Channel.drop c
 
+(* One pipeline step: every active input shifts a word into its window
+   and, past the initialization phase, the step's word joins the pending
+   line. Only its index and what every window holds now are recorded;
+   its values are evaluated later ([evaluate_pending]) and never
+   influence timing. *)
+let advance t ~now =
+  for k = 0 to Array.length t.inputs - 1 do
+    let i = t.inputs.(k) in
+    if consuming_active t i then shift_in t i
+  done;
+  if t.step >= t.init_max then begin
+    let tail = (t.pend_head + t.pend_count) mod t.pend_cap in
+    let ni = Array.length t.inputs in
+    t.pend_release.(tail) <- now + t.compute_cycles;
+    for k = 0 to ni - 1 do
+      match t.inputs.(k).window with
+      | Some win -> t.pend_newest.((tail * ni) + k) <- win.newest
+      | None -> ()
+    done;
+    t.pend_count <- t.pend_count + 1
+  end;
+  t.step <- t.step + 1
+
 let try_step t ~now =
   if t.step >= total_steps t then false
   else if t.pend_count > t.compute_cycles then false
@@ -318,22 +388,8 @@ let try_step t ~now =
         | Some c -> if Channel.is_empty c then ready := false
         | None -> ()
     done;
-    if not !ready then false
-    else begin
-      for k = 0 to Array.length t.inputs - 1 do
-        let i = t.inputs.(k) in
-        if consuming_active t i then shift_in t i
-      done;
-      if t.step >= t.init_max then begin
-        let word_index = t.step - t.init_max in
-        let tail = (t.pend_head + t.pend_count) mod t.pend_cap in
-        t.pend_release.(tail) <- now + t.compute_cycles;
-        compute_into t word_index (tail * t.w);
-        t.pend_count <- t.pend_count + 1
-      end;
-      t.step <- t.step + 1;
-      true
-    end
+    if !ready then advance t ~now;
+    !ready
   end
 
 (* What to blame for a no-progress cycle, in the order a hardware
@@ -397,18 +453,11 @@ let cycle t ~now =
 (* occupancy feasibility is the engine's responsibility.                *)
 (* ------------------------------------------------------------------ *)
 
-type plan = {
-  flush : bool;
-  pops : (Channel.t * window) array;
-  compute : bool;
-  advance : bool;
-  horizon : int;
-}
+type plan = { flush : bool; pops : Channel.t list; steps : bool; horizon : int }
 
 let plan_flush p = p.flush
-let plan_steps p = p.compute || p.advance
 let plan_horizon p = p.horizon
-let plan_pops p = Array.to_list p.pops |> List.map fst
+let plan_pops p = p.pops
 
 let plan t ~now =
   if is_done t then None
@@ -461,41 +510,19 @@ let plan t ~now =
       let pops =
         if step_ok then
           Array.to_list t.inputs
-          |> List.filter_map (fun i ->
-                 if consuming_active t i then
-                   Some (Option.get i.channel, Option.get i.window)
-                 else None)
-          |> Array.of_list
-        else [||]
+          |> List.filter_map (fun i -> if consuming_active t i then i.channel else None)
+        else []
       in
-      if !horizon < 1 then None
-      else Some { flush; pops; compute; advance = step_ok && not compute; horizon = !horizon }
+      if !horizon < 1 then None else Some { flush; pops; steps = step_ok; horizon = !horizon }
     end
   end
 
 (* One unchecked cycle of the planned action: the engine has already
-   validated maturity and channel occupancy for the whole window. *)
+   validated maturity and channel occupancy for the whole window, inside
+   which the set of consuming inputs does not change. *)
 let run_planned t ~now p =
   if p.flush then emit_head t;
-  if p.compute || p.advance then begin
-    for k = 0 to Array.length p.pops - 1 do
-      let c, win = p.pops.(k) in
-      let base = Channel.Unsafe.front_slot c in
-      let values = Channel.Unsafe.buf_values c in
-      for lane = 0 to t.w - 1 do
-        window_append win values.(base + lane)
-      done;
-      Channel.drop c
-    done;
-    if p.compute then begin
-      let word_index = t.step - t.init_max in
-      let tail = (t.pend_head + t.pend_count) mod t.pend_cap in
-      t.pend_release.(tail) <- now + t.compute_cycles;
-      compute_into t word_index (tail * t.w);
-      t.pend_count <- t.pend_count + 1
-    end;
-    t.step <- t.step + 1
-  end
+  if p.steps then advance t ~now
 
 type blockage = Input_empty of string | Output_full of string
 
@@ -513,22 +540,14 @@ let blockages t =
 
 let blocked_reason t =
   if is_done t then None
-  else begin
-    let input_block =
-      Array.to_list t.inputs
-      |> List.filter_map (fun i ->
-             match i.channel with
-             | Some c when consuming_active t i && Channel.is_empty c ->
-                 Some (Printf.sprintf "waiting on empty input %s" i.field)
-             | Some _ | None -> None)
-    in
-    let output_block =
-      Array.to_list t.outputs
-      |> List.filter_map (fun c ->
-             if Channel.is_full c then Some (Printf.sprintf "output %s full" (Channel.name c))
-             else None)
-    in
-    match input_block @ output_block with
+  else
+    match blockages t with
     | [] -> Some "pipeline in flight"
-    | reasons -> Some (String.concat "; " reasons)
-  end
+    | bs ->
+        Some
+          (String.concat "; "
+             (List.map
+                (function
+                  | Input_empty f -> Printf.sprintf "waiting on empty input %s" f
+                  | Output_full c -> Printf.sprintf "output %s full" c)
+                bs))

@@ -46,7 +46,6 @@ val cycle : t -> now:int -> bool
     (a flush or a pipeline step). *)
 
 val stall_cycles : t -> int
-val steps_completed : t -> int
 
 val add_stalls : t -> int -> unit
 (** Credit stall cycles accounted lazily by the scheduler for cycles the
@@ -84,9 +83,6 @@ val plan : t -> now:int -> plan option
 val plan_horizon : plan -> int
 val plan_flush : plan -> bool
 (** Whether the plan emits one word per cycle to every output. *)
-
-val plan_steps : plan -> bool
-(** Whether the plan advances the pipeline one step per cycle. *)
 
 val plan_pops : plan -> Channel.t list
 (** Input channels from which the plan consumes one word per cycle. *)

@@ -618,8 +618,15 @@ let serve_loop t ic oc =
             loop ()
         | Health ->
             (* Answered by the reader so a saturated pool cannot starve
-               a load-balancer probe — that is the whole point of it. *)
+               a load-balancer probe — that is the whole point of it.
+               Under [ordered] it is a barrier instead: an ordered
+               client expects the probe to see every earlier request
+               finished, so the reader waits for the pool to drain. *)
             Mutex.lock sched.mu;
+            if t.ordered then
+              while sched.busy > 0 do
+                Condition.wait sched.cv sched.mu
+              done;
             let in_flight = sched.busy in
             Mutex.unlock sched.mu;
             quick (reply ~result:(health_json t ~in_flight) ());

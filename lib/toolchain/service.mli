@@ -89,8 +89,9 @@
     (or injected by the chaos hook, see {!Chaos}) answers [SF0905] with
     the backtrace attached as a note instead of killing the worker; the
     pool respawns any worker that does die. [{"verb": "health"}] is
-    answered by the reader directly — even with the pool saturated —
-    with uptime, in-flight count, worker liveness/crash counters and the
+    answered by the reader directly — even with the pool saturated;
+    under [ordered] it waits until every earlier admission has
+    completed — with uptime, in-flight count, worker liveness/crash counters and the
     cache's integrity counters ([store_corrupt], [takeovers]). A client
     that hangs up mid-stream (EPIPE) ends the session cleanly: the
     writer marks its sink dead and drains remaining completions without

@@ -116,6 +116,135 @@ let test_non_shortcircuit_semantics () =
   let v = Interp.eval_expr ~lookup ~env:(fun _ -> None) e in
   Alcotest.(check (float 0.)) "division by zero tolerated" 0. v
 
+(* The interpreter's semantics stated cell by cell: every stencil, each
+   cell through the tree-walking evaluator, each let evaluated in order
+   whether read or not, with per-dimension boundary replacement and
+   shrink validity. *)
+let per_cell_reference (p : Program.t) ~inputs =
+  let shape = Array.of_list p.Program.shape in
+  let store = Hashtbl.create 8 in
+  List.iter (fun (name, t) -> Hashtbl.replace store name t) inputs;
+  List.map
+    (fun (s : Stencil.t) ->
+      let out = Tensor.create p.Program.shape in
+      let valid = Array.make (Program.cells p) true in
+      for flat = 0 to Program.cells p - 1 do
+        let idx = Array.make (Array.length shape) 0 and rem = ref flat in
+        for d = Array.length shape - 1 downto 0 do
+          idx.(d) <- !rem mod shape.(d);
+          rem := !rem / shape.(d)
+        done;
+        let oob = ref false in
+        let lookup ~field ~offsets =
+          let t : Tensor.t = Hashtbl.find store field in
+          match Program.field_axes p field with
+          | [] -> t.Tensor.data.(0)
+          | axes ->
+              let center = List.map (fun a -> idx.(a)) axes in
+              let target = List.map2 ( + ) center offsets in
+              if List.for_all2 (fun i a -> i >= 0 && i < shape.(a)) target axes then
+                Tensor.get t target
+              else begin
+                oob := true;
+                match Stencil.boundary_for s field with
+                | Boundary.Constant c -> c
+                | Boundary.Copy -> Tensor.get t center
+              end
+        in
+        let env = Hashtbl.create 4 in
+        List.iter
+          (fun (v, e) ->
+            Hashtbl.replace env v (Interp.eval_expr ~lookup ~env:(Hashtbl.find_opt env) e))
+          s.Stencil.body.Expr.lets;
+        let v = Interp.eval_expr ~lookup ~env:(Hashtbl.find_opt env) s.Stencil.body.Expr.result in
+        Tensor.set_flat out flat v;
+        if s.Stencil.shrink && !oob then valid.(flat) <- false
+      done;
+      Hashtbl.replace store s.Stencil.name out;
+      (s.Stencil.name, { Interp.tensor = out; valid }))
+    (Program.topological_stencils p)
+
+(* Every result in [expected] is present in [actual] with the same
+   validity mask and bit-identical values on every valid cell, or on
+   every cell with [~invalid_too] (the simulator does not stream the
+   values of invalid cells). *)
+let check_bit_identical ?(invalid_too = false) what expected actual =
+  List.iter
+    (fun (name, (r : Interp.result)) ->
+      let r' = List.assoc name actual in
+      Alcotest.(check (array bool)) (Printf.sprintf "%s: %s validity" what name) r.Interp.valid
+        r'.Interp.valid;
+      Array.iteri
+        (fun i v ->
+          let v' = r'.Interp.tensor.Tensor.data.(i) in
+          if (invalid_too || r.Interp.valid.(i))
+             && not (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float v'))
+          then
+            Alcotest.failf "%s: %s cell %d: %h vs %h" what name i v v')
+        r.Interp.tensor.Tensor.data)
+    expected
+
+(* Programs that probe the blocked gathers' edges: an innermost extent
+   that is not a multiple of the 64-cell block, offsets at least as large
+   as an extent (whole blocks out of bounds, along the innermost and the
+   outer axes), reads across block boundaries of a produced field, a
+   binding nothing reads, and a 3-D program reading lower-dimensional
+   fields that do and do not span the innermost axis, and a scalar. *)
+let edge_programs ~boundary ~shrink ~vector_width =
+  let two_d =
+    let b = Builder.create ~vector_width ~name:"edges2d" ~shape:[ 5; 100 ] () in
+    Builder.input b "a";
+    Builder.stencil b ~boundary:[ ("a", boundary) ] ~shrink
+      ~lets:
+        [ ("t", E.(acc "a" [ 0; -1 ] +% acc "a" [ 0; 1 ])); ("unused", E.(acc "a" [ 0; -1 ] *% c 3.)) ]
+      "s"
+      E.(
+        var "t" +% acc "a" [ 1; 0 ] -% acc "a" [ -1; 0 ]
+        +% (acc "a" [ 0; 100 ] *% c 0.5)
+        +% acc "a" [ 0; -130 ] +% acc "a" [ 5; 0 ] +% acc "a" [ -2; 70 ]);
+    Builder.stencil b ~boundary:[ ("s", boundary) ] ~shrink "s2"
+      E.(acc "s" [ 0; 64 ] +% acc "s" [ 0; -65 ] +% acc "s" [ -1; 0 ] +% acc "s" [ 0; 0 ]);
+    Builder.output b "s2";
+    Builder.finish b
+  in
+  let three_d =
+    let b = Builder.create ~vector_width ~name:"edges3d" ~shape:[ 3; 4; 36 ] () in
+    Builder.input b "u";
+    Builder.input b ~axes:[ 1 ] "row";
+    Builder.input b ~axes:[ 0; 2 ] "plane";
+    Builder.input b ~axes:[] "alpha";
+    let bcs = List.map (fun f -> (f, boundary)) [ "u"; "row"; "plane" ] in
+    Builder.stencil b ~boundary:bcs ~shrink "s"
+      E.(
+        acc "u" [ 0; 0; -1 ]
+        +% (acc "u" [ 0; 1; 36 ] *% acc "row" [ 1 ])
+        +% (acc "plane" [ -1; 2 ] *% acc "u" [ 1; 0; 0 ])
+        +% acc "plane" [ 0; -40 ] +% acc "row" [ 4 ] +% acc "row" [ -1 ] +% sc "alpha"
+        +% acc "u" [ 0; -1; 1 ]);
+    Builder.output b "s";
+    Builder.finish b
+  in
+  [ two_d; three_d ]
+
+let edge_configurations =
+  List.concat_map
+    (fun boundary ->
+      List.concat_map
+        (fun shrink ->
+          List.concat_map
+            (fun vector_width -> edge_programs ~boundary ~shrink ~vector_width)
+            [ 1; 2; 4 ])
+        [ false; true ])
+    [ Boundary.Constant 0.5; Boundary.Copy ]
+
+let test_block_edges () =
+  List.iter
+    (fun p ->
+      let inputs = Interp.random_inputs ~seed:7 p in
+      check_bit_identical ~invalid_too:true p.Program.name (per_cell_reference p ~inputs)
+        (Interp.run_all p ~inputs))
+    edge_configurations
+
 let suite =
   [
     Alcotest.test_case "tensor basics" `Quick test_tensor_basics;
@@ -127,4 +256,6 @@ let suite =
     Alcotest.test_case "data-dependent branches" `Quick test_data_dependent_branch;
     Alcotest.test_case "missing input is reported" `Quick test_missing_input;
     Alcotest.test_case "non-short-circuit logic" `Quick test_non_shortcircuit_semantics;
+    Alcotest.test_case "block edges: interpreter equals per-cell semantics" `Quick
+      test_block_edges;
   ]

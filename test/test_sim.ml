@@ -278,6 +278,22 @@ let test_trace_sampling () =
       in
       Alcotest.(check bool) "skip edge fills" true (peak > 1)
 
+(* The stencil units' deferred blocks must reproduce the interpreter
+   bit for bit, values and validity, on the programs that probe the
+   block edges (see Test_reference.edge_programs), at W = 1, 2 and 4. *)
+let test_block_edges () =
+  List.iter
+    (fun p ->
+      let inputs = Interp.random_inputs ~seed:7 p in
+      let reference = Interp.run p ~inputs in
+      match Engine.run ~config:cheap_config ~inputs p with
+      | Error d -> Alcotest.fail (Sf_support.Diag.to_string d)
+      | Ok stats ->
+          Test_reference.check_bit_identical
+            (Printf.sprintf "%s W=%d" p.Program.name p.Program.vector_width)
+            reference stats.Engine.results)
+    Test_reference.edge_configurations
+
 let suite =
   [
     Alcotest.test_case "laplace validates against reference" `Quick
@@ -303,4 +319,6 @@ let suite =
     Alcotest.test_case "occupancy trace sampling" `Quick test_trace_sampling;
     Alcotest.test_case "delay buffers are load-bearing" `Quick test_buffer_tightness;
     QCheck_alcotest.to_alcotest prop_sim_matches_reference;
+    Alcotest.test_case "block edges: simulator equals interpreter bit for bit" `Quick
+      test_block_edges;
   ]
