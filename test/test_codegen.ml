@@ -160,6 +160,108 @@ let test_sdfg_dot_export () =
     [ "digraph \"laplace2d\""; "pipeline_lap (init"; "shape=octagon"; "compute";
       "write_if_not_initializing"; "shift_a (unroll" ]
 
+(* Byte pins over the full generated sources: MD5 digests of every
+   OpenCL artifact (file name and source) and the host source, on one
+   device and, for programs with at least two stencils, split over two
+   contiguous devices; and of the Vitis source. Any change to the emitted
+   bytes shows up here; re-record only for an intended output change. *)
+let pinned_programs =
+  [
+    ("laplace2d", Fixtures.laplace2d ());
+    ("diamond", Fixtures.diamond ());
+    ("chain", Fixtures.chain ());
+    ("fork", Fixtures.fork ());
+    ("kitchen_sink", Fixtures.kitchen_sink ());
+  ]
+
+let codegen_digests (p : Program.t) =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let artifacts ?partition () =
+    md5
+      (String.concat ""
+         (List.map
+            (fun (a : Opencl.artifact) -> a.Opencl.filename ^ "\n" ^ a.Opencl.source)
+            (Fixtures.ok (Opencl.generate ?partition p))))
+  in
+  let host ?partition () = md5 (Fixtures.ok (Opencl.host_source ?partition p)) in
+  let split =
+    if List.length p.Program.stencils < 2 then []
+    else begin
+      let partition = Fixtures.ok1 (Partition.contiguous ~devices:2 p) in
+      [ ("opencl-2dev", artifacts ~partition ()); ("host-2dev", host ~partition ()) ]
+    end
+  in
+  [ ("opencl", artifacts ()); ("host", host ()) ]
+  @ split
+  @ [ ("vitis", md5 (Fixtures.ok (Sf_codegen.Vitis.generate p))) ]
+
+let expected_digests =
+  [
+    ("laplace2d/W1/opencl", "3ab3cba073427be726cb40634468c8d4");
+    ("laplace2d/W1/host", "9b418b1ff8f332139e0275ae863250bb");
+    ("laplace2d/W1/vitis", "7a2820cd00fff616410b47e7087a6934");
+    ("laplace2d/W2/opencl", "e97a5bb2f7c9775be0f3eb622a6e58af");
+    ("laplace2d/W2/host", "9b418b1ff8f332139e0275ae863250bb");
+    ("laplace2d/W2/vitis", "4d26298656c72cf54e5639a078a8e641");
+    ("diamond/W1/opencl", "9da650d2f93fc612caa66314351026ad");
+    ("diamond/W1/host", "2aedf1b15b19ec9d846dde2b77cfbe1a");
+    ("diamond/W1/opencl-2dev", "6aeb94a95060ee22c3471fc10b0e989b");
+    ("diamond/W1/host-2dev", "cbac5d5bf1f2482de5ca38833e8ef28b");
+    ("diamond/W1/vitis", "9ee1ea11f122b967daa350b9b390dc33");
+    ("diamond/W2/opencl", "1e0595dd3085d89671c8ad895e8c7821");
+    ("diamond/W2/host", "2aedf1b15b19ec9d846dde2b77cfbe1a");
+    ("diamond/W2/opencl-2dev", "e2b3456effa83aee02d7da50b0d89a1d");
+    ("diamond/W2/host-2dev", "cbac5d5bf1f2482de5ca38833e8ef28b");
+    ("diamond/W2/vitis", "429dbf631f249ffab793fb0110ca0aff");
+    ("chain/W1/opencl", "3df9f563d72ea6aa4b3929a2cc86f9a2");
+    ("chain/W1/host", "bd3130e750b73cdc9b5e6020bc3629f5");
+    ("chain/W1/opencl-2dev", "d236717e6a0fc929a5568074d684da42");
+    ("chain/W1/host-2dev", "851680ec2d56f0fe73ed4e70c84976e5");
+    ("chain/W1/vitis", "a04688b08654e5ba560c54cb2fefc8fd");
+    ("chain/W2/opencl", "88b64003e85f7a96b620b99150c16c3a");
+    ("chain/W2/host", "bd3130e750b73cdc9b5e6020bc3629f5");
+    ("chain/W2/opencl-2dev", "a8f0f37312ce1793fc34a0c9d1847b66");
+    ("chain/W2/host-2dev", "851680ec2d56f0fe73ed4e70c84976e5");
+    ("chain/W2/vitis", "6d3c7ad3fe7555fe76f68c0765b03704");
+    ("fork/W1/opencl", "c93e89a8285ab6ea3891dd891508ed34");
+    ("fork/W1/host", "59df596d47145fbf4dd6279628c9ca8e");
+    ("fork/W1/opencl-2dev", "32060fbec2bed1279d4616d6c96ff46e");
+    ("fork/W1/host-2dev", "ee3b3346b91625c512c72f7df08995c5");
+    ("fork/W1/vitis", "734bfb4b437f812f910cdc9bacaf4f54");
+    ("fork/W2/opencl", "cbae32548dbccbdfb8898f9803a07bed");
+    ("fork/W2/host", "59df596d47145fbf4dd6279628c9ca8e");
+    ("fork/W2/opencl-2dev", "cd8422d400d14e3e77166286825de8f4");
+    ("fork/W2/host-2dev", "ee3b3346b91625c512c72f7df08995c5");
+    ("fork/W2/vitis", "b86aa043017c2b74e99b961c7873d88c");
+    ("kitchen_sink/W1/opencl", "903cfcee1e1587c5d6cb7215330d8055");
+    ("kitchen_sink/W1/host", "117993e104a91ff9d4630fa634ff1e0b");
+    ("kitchen_sink/W1/opencl-2dev", "858183de381835154fe2172245f86188");
+    ("kitchen_sink/W1/host-2dev", "d94a6de40394641f8ccbc530b6a8fd42");
+    ("kitchen_sink/W1/vitis", "2e7b1554cf1b1411d6d2fc50139255ab");
+    ("kitchen_sink/W2/opencl", "3cebe5f4751472f3d5c0c3339216df58");
+    ("kitchen_sink/W2/host", "117993e104a91ff9d4630fa634ff1e0b");
+    ("kitchen_sink/W2/opencl-2dev", "31b346e860b817bcdcabd5546f9fb4bf");
+    ("kitchen_sink/W2/host-2dev", "d94a6de40394641f8ccbc530b6a8fd42");
+    ("kitchen_sink/W2/vitis", "7654a8530124f153802aa7dcec041c03");
+  ]
+
+let test_codegen_bytes_pinned () =
+  let actual =
+    List.concat_map
+      (fun (name, p) ->
+        List.concat_map
+          (fun w ->
+            List.map
+              (fun (kind, digest) -> (Printf.sprintf "%s/W%d/%s" name w kind, digest))
+              (codegen_digests (Sf_analysis.Vectorize.apply p w)))
+          [ 1; 2 ])
+      pinned_programs
+  in
+  (* SF_PIN_PRINT=1 prints the table to paste above. *)
+  if Sys.getenv_opt "SF_PIN_PRINT" <> None then
+    List.iter (fun (k, d) -> Printf.printf "    (%S, %S);\n" k d) actual;
+  Alcotest.(check (list (pair string string))) "codegen digests" expected_digests actual
+
 let suite =
   [
     Alcotest.test_case "laplace kernel structure (fig 12)" `Quick test_laplace_kernel_structure;
@@ -177,4 +279,5 @@ let suite =
     Alcotest.test_case "vitis backend kitchen sink" `Quick test_vitis_kitchen_sink;
     Alcotest.test_case "graphviz export" `Quick test_dot_export;
     Alcotest.test_case "sdfg graphviz export (fig 12)" `Quick test_sdfg_dot_export;
+    Alcotest.test_case "generated sources pinned by digest" `Quick test_codegen_bytes_pinned;
   ]
