@@ -56,7 +56,10 @@ val accesses : t -> (string * int list) list
 (** All field accesses in evaluation order, duplicates removed. *)
 
 val body_accesses : body -> (string * int list) list
-(** Accesses of a whole body, after conceptually inlining the lets. *)
+(** Accesses of a whole body, duplicates removed: those of the result
+    after conceptually inlining the lets, then those of every let
+    binding, including bindings that nothing reads (they are still
+    evaluated). *)
 
 val free_vars : t -> string list
 (** [Var] names not bound in the expression itself (all of them — the AST

@@ -23,7 +23,9 @@ val boundary_for : t -> string -> Boundary.t
 (** The boundary condition for one input field. *)
 
 val accesses : t -> (string * int list) list
-(** All field accesses of the (inlined) body, duplicates removed. *)
+(** All field accesses of the body, duplicates removed: the inlined
+    result's first, then those of let bindings that nothing reads
+    ({!Expr.body_accesses}). *)
 
 val input_fields : t -> string list
 (** Names of fields read, duplicates removed, in order of first access. *)

@@ -313,6 +313,20 @@ let branchy_program () =
   Builder.output b "s";
   Builder.finish b
 
+(* A let that nothing reads is still evaluated, so its input is streamed
+   and buffered like any other. *)
+let dead_let_program () =
+  let b = Builder.create ~name:"deadlet" ~shape:[ 6; 8 ] () in
+  Builder.input b "a";
+  Builder.input b "z";
+  Builder.stencil b
+    ~boundary:[ ("a", Boundary.Constant 0.); ("z", Boundary.Constant 0.) ]
+    ~lets:[ ("unread", Builder.E.(acc "z" [ 1; 1 ] *% c 2.)) ]
+    "s"
+    Builder.E.(acc "a" [ 0; -1 ] +% acc "a" [ 0; 1 ]);
+  Builder.output b "s";
+  Builder.finish b
+
 let suite =
   if not gxx_available then []
   else
@@ -335,6 +349,7 @@ let suite =
             run_generated_opencl (Fixtures.chain ~shape:[ 6; 8 ] ~n:2 ~vector_width:2 ()));
       exec_case "compiled kitchen sink (lower-dim, scalar, shrink)" (fun () ->
           Fixtures.kitchen_sink ~shape:[ 3; 4; 8 ] ());
+      exec_case "compiled let that nothing reads" dead_let_program;
       Alcotest.test_case "compiled OpenCL backend: kitchen sink" `Slow (fun () ->
           if gxx_available then
             run_generated_opencl (Fixtures.kitchen_sink ~shape:[ 3; 4; 8 ] ()));

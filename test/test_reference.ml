@@ -194,15 +194,24 @@ let edge_programs ~boundary ~shrink ~vector_width =
   let two_d =
     let b = Builder.create ~vector_width ~name:"edges2d" ~shape:[ 5; 100 ] () in
     Builder.input b "a";
-    Builder.stencil b ~boundary:[ ("a", boundary) ] ~shrink
+    (* Read only by a let that nothing reads: still an input of s. *)
+    Builder.input b "z";
+    Builder.stencil b ~boundary:[ ("a", boundary); ("z", boundary) ] ~shrink
       ~lets:
-        [ ("t", E.(acc "a" [ 0; -1 ] +% acc "a" [ 0; 1 ])); ("unused", E.(acc "a" [ 0; -1 ] *% c 3.)) ]
+        [
+          ("t", E.(acc "a" [ 0; -1 ] +% acc "a" [ 0; 1 ]));
+          ("unused", E.(acc "a" [ 0; -1 ] *% c 3.));
+          ("unread", E.(acc "z" [ 1; 2 ]));
+        ]
       "s"
       E.(
         var "t" +% acc "a" [ 1; 0 ] -% acc "a" [ -1; 0 ]
         +% (acc "a" [ 0; 100 ] *% c 0.5)
         +% acc "a" [ 0; -130 ] +% acc "a" [ 5; 0 ] +% acc "a" [ -2; 70 ]);
-    Builder.stencil b ~boundary:[ ("s", boundary) ] ~shrink "s2"
+    (* The unread let reaches past the live accesses' window. *)
+    Builder.stencil b ~boundary:[ ("s", boundary) ] ~shrink
+      ~lets:[ ("ahead", E.(acc "s" [ 2; 0 ])) ]
+      "s2"
       E.(acc "s" [ 0; 64 ] +% acc "s" [ 0; -65 ] +% acc "s" [ -1; 0 ] +% acc "s" [ 0; 0 ]);
     Builder.output b "s2";
     Builder.finish b
