@@ -240,7 +240,7 @@ let remote_eval ~verb ~path ~(common : Common.t) ?width ?devices ?seed ?max_cycl
   exit (if ok then 0 else 1)
 
 (* Fusion runs before the optimiser so fold-cse sees (and re-shares) the
-   substituted fused bodies — the same order as Sdfg.Pipeline.default_pipeline. *)
+   substituted fused bodies — the same order as Pipeline.default_pipeline. *)
 let frontend_passes ?(optimize = false) path width fuse =
   [ Passes.load_file path ]
   @ (match width with Some w -> [ Passes.vectorize w ] | None -> [])

@@ -9,8 +9,3 @@ val of_program : ?with_buffers:bool -> Sf_ir.Program.t -> string
 (** DOT source. When [with_buffers] (default true), each edge is labelled
     with its delay-buffer depth in words; prefetched lower-dimensional
     inputs get dashed edges. *)
-
-val of_sdfg : Sf_sdfg.Sdfg.t -> string
-(** Render an SDFG (states as clusters, pipeline/unrolled scopes as nested
-    clusters, tasklets as octagons, access nodes as ovals) — useful for
-    inspecting the Fig. 12 expansion. *)

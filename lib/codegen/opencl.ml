@@ -3,212 +3,64 @@ module Partition = Sf_mapping.Partition
 
 type artifact = { device : int; filename : string; source : string }
 
-let func_c_name = function
-  | Expr.Sqrt -> "sqrtf"
-  | Expr.Abs -> "fabsf"
-  | Expr.Exp -> "expf"
-  | Expr.Log -> "logf"
-  | Expr.Pow -> "powf"
-  | Expr.Min -> "fminf"
-  | Expr.Max -> "fmaxf"
-  | Expr.Sin -> "sinf"
-  | Expr.Cos -> "cosf"
-  | Expr.Floor -> "floorf"
-  | Expr.Ceil -> "ceilf"
-
-let binop_c = function
-  | Expr.Add -> "+"
-  | Expr.Sub -> "-"
-  | Expr.Mul -> "*"
-  | Expr.Div -> "/"
-  | Expr.Lt -> "<"
-  | Expr.Le -> "<="
-  | Expr.Gt -> ">"
-  | Expr.Ge -> ">="
-  | Expr.Eq -> "=="
-  | Expr.Ne -> "!="
-  | Expr.And -> "&&"
-  | Expr.Or -> "||"
-
-let float_literal c =
-  if Float.is_integer c && Float.abs c < 1e15 then Printf.sprintf "%.1ff" c
-  else Printf.sprintf "%.9gf" c
-
-let rec expression_to_c ~access expr =
-  let atom e =
-    match e with
-    | Expr.Const _ | Expr.Var _ | Expr.Access _ | Expr.Call _ -> expression_to_c ~access e
-    | Expr.Unary _ | Expr.Binary _ | Expr.Select _ ->
-        "(" ^ expression_to_c ~access e ^ ")"
-  in
-  match expr with
-  | Expr.Const c -> float_literal c
-  | Expr.Var v -> v
-  | Expr.Access { field; offsets } -> access ~field ~offsets
-  | Expr.Unary (Expr.Neg, x) -> "-" ^ atom x
-  | Expr.Unary (Expr.Not, x) -> "!" ^ atom x
-  | Expr.Binary (op, x, y) -> Printf.sprintf "%s %s %s" (atom x) (binop_c op) (atom y)
-  | Expr.Select { cond; if_true; if_false } ->
-      Printf.sprintf "%s ? %s : %s" (atom cond) (atom if_true) (atom if_false)
-  | Expr.Call (f, args) ->
-      Printf.sprintf "%s(%s)" (func_c_name f)
-        (Sf_support.Util.string_concat_map ", " (expression_to_c ~access) args)
-
-(* Schedule a body's hash-consed DAG for emission: the programmer's let
-   names are preserved, and every structurally shared non-leaf node is
-   materialized as a [__tN] local so the generated kernel computes each
-   shared value once and fans it out explicitly, instead of relying on
-   the vendor compiler's CSE. *)
-let scheduled_body (b : Expr.body) =
-  let named, root = Dag.of_body_named b in
-  Dag.extract ~min_size:2 ~prefix:"__t" ~keep:named root
-
-let dim_names = [| "k"; "j"; "i" |]
-
-(* Dimension variable names for a rank-d space: the last d entries. *)
-let dims_for rank = Array.to_list (Array.sub dim_names (3 - rank) rank)
-
 let channel_name ~src ~dst = Printf.sprintf "ch_%s__%s" src dst
 
-let emit_stencil_kernel buf (p : Program.t) analysis (s : Stencil.t) ~remote_in
-    ~local_consumers ~remote_out ~writes_memory =
-  let w = p.Program.vector_width in
-  let name = s.Stencil.name in
-  let shape = p.Program.shape in
-  let rank = Program.rank p in
-  let dims = dims_for rank in
-  let n_words = Program.cells p / w in
-  let buffers = Sf_analysis.Internal_buffer.of_stencil p s in
-  let info = Sf_analysis.Delay_buffer.node_info analysis name in
-  let init = info.Sf_analysis.Delay_buffer.init_cycles in
-  (* Register sizing consistent with the conservative fill-the-buffer
-     schedule (init_extra words are consumed ahead of the first output):
-     at compute time the newest element sits init_extra*W + W - 1 ahead
-     of the lane-0 center, so the register must retain that read-ahead
-     plus any negative reach. Tap for flat offset o, lane v is
-     S - W - init_extra*W + o + v. *)
-  let init_extra_of (b : Sf_analysis.Internal_buffer.t) =
-    Sf_support.Util.ceil_div b.init_elements (max 1 w)
-  in
-  let register_size (b : Sf_analysis.Internal_buffer.t) =
-    (init_extra_of b * w) + w + max 0 (-b.min_flat)
-  in
-  let tap_base (b : Sf_analysis.Internal_buffer.t) =
-    register_size b - w - (init_extra_of b * w)
-  in
+(* Print one expanded stencil as an autorun kernel. Registers of fields
+   produced on another device pop from SMI instead of a channel. *)
+let emit_stencil_kernel buf (k : Kernel.t) ~remote ~local_consumers ~remote_out ~writes_memory =
+  let w = k.Kernel.width and name = k.Kernel.name in
   let add fmt = Printf.ksprintf (fun line -> Buffer.add_string buf line) fmt in
   add "__attribute__((max_global_work_dim(0)))\n";
   add "__attribute__((autorun))\n";
   add "__kernel void stencil_%s() {\n" name;
   List.iter
-    (fun (b : Sf_analysis.Internal_buffer.t) ->
-      add "  float sr_%s[%d]; // flat span [%d, %d], read-ahead %d words\n" b.field
-        (register_size b) b.min_flat b.max_flat (init_extra_of b))
-    buffers;
+    (fun (r : Kernel.register) ->
+      add "  float sr_%s[%d]; // flat span [%d, %d], read-ahead %d words\n" r.field r.size
+        r.min_flat r.max_flat r.read_ahead)
+    k.Kernel.registers;
   (* Lower-dimensional inputs are read from the program-scope prefetch
      arrays, filled by the load_* kernels before the pipeline starts. *)
-  add "  for (long t = 0; t < %dL + %dL; ++t) {\n" init n_words;
+  add "  for (long t = 0; t < %dL + %dL; ++t) {\n" k.Kernel.init_cycles k.Kernel.words;
   (* Shift phase (fully unrolled). *)
   List.iter
-    (fun (b : Sf_analysis.Internal_buffer.t) ->
-      if register_size b > w then begin
+    (fun (r : Kernel.register) ->
+      if r.size > w then begin
         add "    #pragma unroll\n";
-        add "    for (int s = 0; s < %d; ++s) sr_%s[s] = sr_%s[s + %d];\n"
-          (register_size b - w) b.field b.field w
+        add "    for (int s = 0; s < %d; ++s) sr_%s[s] = sr_%s[s + %d];\n" (r.size - w) r.field
+          r.field w
       end)
-    buffers;
+    k.Kernel.registers;
   (* Update phase: read one word from each active input stream. *)
   List.iter
-    (fun (b : Sf_analysis.Internal_buffer.t) ->
-      let init_extra = init_extra_of b in
-      let start = init - init_extra in
-      let target = Printf.sprintf "sr_%s[%d + v]" b.field (register_size b - w) in
+    (fun (r : Kernel.register) ->
       let source =
-        if List.mem_assoc b.field remote_in then
-          Printf.sprintf "SMI_Pop(&smi_%s__%s)" b.field name
-        else Printf.sprintf "read_channel_intel(%s)" (channel_name ~src:b.field ~dst:name)
+        if remote r.field then Printf.sprintf "SMI_Pop(&smi_%s__%s)" r.field name
+        else Printf.sprintf "read_channel_intel(%s)" (channel_name ~src:r.field ~dst:name)
       in
-      add "    if (t >= %dL && t < %dL + %dL) {\n" start start n_words;
+      add "    if (t >= %dL && t < %dL + %dL) {\n" r.first_read r.first_read k.Kernel.words;
       add "      #pragma unroll\n";
-      add "      for (int v = 0; v < %d; ++v) %s = %s;\n" w target source;
+      add "      for (int v = 0; v < %d; ++v) sr_%s[%d + v] = %s;\n" w r.field (r.size - w) source;
       add "    }\n")
-    buffers;
-  (* Compute phase. *)
-  add "    if (t >= %dL) {\n" init;
-  add "      long cell = (t - %dL) * %d;\n" init w;
+    k.Kernel.registers;
+  (* Compute phase, with the multi-index of cell + v recovered for
+     boundary predication. *)
+  add "    if (t >= %dL) {\n" k.Kernel.init_cycles;
+  add "      long cell = (t - %dL) * %d;\n" k.Kernel.init_cycles w;
   add "      #pragma unroll\n";
   add "      for (int v = 0; v < %d; ++v) {\n" w;
-  (* Recover the multi-index of cell + v for boundary predication. *)
-  let strides = Program.strides p in
-  List.iteri
-    (fun d dim ->
-      add "        const long %s = ((cell + v) / %dL) %% %dL;\n" dim (List.nth strides d)
-        (List.nth shape d))
-    dims;
-  let tap (b : Sf_analysis.Internal_buffer.t) offsets =
-    let flat = Sf_analysis.Internal_buffer.flatten_offset ~shape offsets in
-    Printf.sprintf "sr_%s[%d + v]" b.field (tap_base b + flat)
-  in
-  let access ~field ~offsets =
-    match List.find_opt (fun (b : Sf_analysis.Internal_buffer.t) -> b.field = field) buffers with
-    | Some b ->
-        let in_bounds =
-          List.concat
-            (List.mapi
-               (fun d o ->
-                 if o = 0 then []
-                 else
-                   [
-                     Printf.sprintf "(%s + (%d) >= 0 && %s + (%d) < %d)" (List.nth dims d) o
-                       (List.nth dims d) o (List.nth shape d);
-                   ])
-               offsets)
-        in
-        let value = tap b offsets in
-        if in_bounds = [] then value
-        else begin
-          let fallback =
-            match Stencil.boundary_for s field with
-            | Boundary.Constant c -> float_literal c
-            | Boundary.Copy -> tap b (List.map (fun _ -> 0) offsets)
-          in
-          Printf.sprintf "(%s ? %s : %s)" (String.concat " && " in_bounds) value fallback
-        end
-    | None ->
-        (* Lower-dimensional prefetched field. *)
-        let axes = Program.field_axes p field in
-        if axes = [] then Printf.sprintf "pref_%s[0]" field
-        else begin
-          let index =
-            Sf_support.Util.string_concat_map " + "
-              (fun (axis, o) ->
-                let extent_inner =
-                  List.fold_left
-                    (fun acc a -> if a > axis then acc * List.nth shape a else acc)
-                    1 axes
-                in
-                Printf.sprintf "(%s + (%d)) * %d" (List.nth dims axis) o extent_inner)
-              (List.combine axes offsets)
-          in
-          Printf.sprintf "pref_%s[%s]" field index
-        end
-  in
-  let body = scheduled_body s.Stencil.body in
   List.iter
-    (fun (letname, e) -> add "        const float %s = %s;\n" letname (expression_to_c ~access e))
-    body.Expr.lets;
-  add "        const float value_%d = %s;\n" 0 (expression_to_c ~access body.Expr.result);
-  let emit_write target = add "        %s;\n" target in
+    (fun (d : Kernel.dim) ->
+      add "        const long %s = ((cell + v) / %dL) %% %dL;\n" d.index d.stride d.extent)
+    k.Kernel.dims;
+  List.iter (fun (n, e) -> add "        const float %s = %s;\n" n e) k.Kernel.lets;
+  add "        const float value_0 = %s;\n" k.Kernel.result;
   List.iter
     (fun consumer ->
-      emit_write
-        (Printf.sprintf "write_channel_intel(%s, value_0)" (channel_name ~src:name ~dst:consumer)))
+      add "        write_channel_intel(%s, value_0);\n" (channel_name ~src:name ~dst:consumer))
     local_consumers;
-  List.iter
-    (fun consumer -> emit_write (Printf.sprintf "SMI_Push(&smi_%s__%s, value_0)" name consumer))
-    remote_out;
+  List.iter (fun consumer -> add "        SMI_Push(&smi_%s__%s, value_0);\n" name consumer) remote_out;
   if writes_memory then
-    emit_write (Printf.sprintf "write_channel_intel(%s, value_0)" (channel_name ~src:name ~dst:"mem"));
+    add "        write_channel_intel(%s, value_0);\n" (channel_name ~src:name ~dst:"mem");
   add "      }\n";
   add "    }\n";
   add "  }\n";
@@ -238,6 +90,7 @@ let generate_unchecked ?partition (p : Program.t) =
   let analysis = Sf_analysis.Delay_buffer.analyze p in
   let device_of = Partition.placement_fn partition in
   let rank = Program.rank p in
+  let kernels = List.map (Kernel.expand p analysis) p.Program.stencils in
   List.map
     (fun device ->
       let buf = Buffer.create 4096 in
@@ -248,31 +101,24 @@ let generate_unchecked ?partition (p : Program.t) =
         p.Program.vector_width;
       add "#pragma OPENCL EXTENSION cl_intel_channels : enable\n";
       add "#include \"smi.h\"\n\n";
-      let local_stencils =
-        List.filter (fun s -> device_of s.Stencil.name = device) p.Program.stencils
+      let is_local name = device_of name = device in
+      let local_kernels = List.filter (fun k -> is_local k.Kernel.name) kernels in
+      (* A stream whose producer is a stencil on another device arrives
+         through SMI rather than a channel. *)
+      let remote field =
+        Option.is_some (Program.find_stencil p field) && device_of field <> device
       in
-      let local_names = List.map (fun s -> s.Stencil.name) local_stencils in
-      let is_local name = List.exists (String.equal name) local_names in
       (* Channel declarations: local edges with analysed depths. *)
       List.iter
-        (fun (s : Stencil.t) ->
-          let dst = s.Stencil.name in
+        (fun (k : Kernel.t) ->
           List.iter
-            (fun field ->
-              let is_stencil_src = Option.is_some (Program.find_stencil p field) in
-              let local_src = (not is_stencil_src) || is_local field in
-              let prefetched =
-                (not is_stencil_src) && List.length (Program.field_axes p field) < rank
-              in
-              if local_src && not prefetched then begin
-                let depth =
-                  Sf_analysis.Delay_buffer.buffer_for analysis ~src:field ~dst
-                in
-                add "channel float %s __attribute__((depth(%d)));\n"
-                  (channel_name ~src:field ~dst) (max 1 depth)
-              end)
-            (Stencil.input_fields s))
-        local_stencils;
+            (function
+              | Kernel.Streamed { field; depth } when not (remote field) ->
+                  add "channel float %s __attribute__((depth(%d)));\n"
+                    (channel_name ~src:field ~dst:k.Kernel.name) depth
+              | Kernel.Streamed _ | Kernel.Prefetched _ -> ())
+            k.Kernel.inputs)
+        local_kernels;
       List.iter
         (fun o ->
           if is_local o then
@@ -314,23 +160,13 @@ let generate_unchecked ?partition (p : Program.t) =
         p.Program.inputs;
       (* Stencil kernels. *)
       List.iter
-        (fun (s : Stencil.t) ->
-          let name = s.Stencil.name in
-          let consumers = Program.consumers p name in
-          let local_consumers = List.filter (fun c -> device_of c = device) consumers in
-          let remote_out = List.filter (fun c -> device_of c <> device) consumers in
-          let remote_in =
-            List.filter_map
-              (fun field ->
-                match Program.find_stencil p field with
-                | Some _ when device_of field <> device -> Some (field, device_of field)
-                | Some _ | None -> None)
-              (Stencil.input_fields s)
-          in
-          emit_stencil_kernel buf p analysis s ~remote_in ~local_consumers
-            ~remote_out
-            ~writes_memory:(List.exists (String.equal name) p.Program.outputs))
-        local_stencils;
+        (fun (k : Kernel.t) ->
+          let consumers = Program.consumers p k.Kernel.name in
+          emit_stencil_kernel buf k ~remote
+            ~local_consumers:(List.filter (fun c -> device_of c = device) consumers)
+            ~remote_out:(List.filter (fun c -> device_of c <> device) consumers)
+            ~writes_memory:(List.exists (String.equal k.Kernel.name) p.Program.outputs))
+        local_kernels;
       (* Writers for outputs produced here. *)
       List.iter (fun o -> if is_local o then emit_writer buf p o) p.Program.outputs;
       {

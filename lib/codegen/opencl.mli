@@ -1,12 +1,12 @@
 (** Code generation to Intel-FPGA-style annotated OpenCL (paper, Sec. VI).
 
     One source file is emitted per device. Each stencil becomes an
-    [autorun] kernel containing the Fig. 12 structure: a fully unrolled
-    shift phase over the field's shift register, an update phase reading
-    the input channels, and a compute phase with boundary predication and
-    a guarded output write. Channels carry the delay-buffer depths from
-    the analysis; edges crossing devices are emitted as SMI push/pop
-    calls instead of channel operations (Sec. VI-B). Dedicated reader
+    [autorun] kernel printing its {!Kernel.expand} expansion (Fig. 12): a
+    fully unrolled shift phase over the field's shift register, an update
+    phase reading the input channels, and a compute phase with boundary
+    predication and a guarded output write. Channels carry the
+    expansion's stream depths; edges crossing devices are emitted as SMI
+    push/pop calls instead of channel operations (Sec. VI-B). Dedicated reader
     (prefetcher) and writer kernels move data between DRAM and streams.
 
     The output is not synthesized in this reproduction (no vendor
@@ -34,17 +34,3 @@ val host_source :
   (string, Sf_support.Diag.t list) result
 (** Host-side C-style pseudo code: buffer allocation, replication of
     inputs to each device, kernel launch, and result copy-back. *)
-
-val float_literal : float -> string
-(** C float literal rendering shared by the backends. *)
-
-val expression_to_c :
-  access:(field:string -> offsets:int list -> string) -> Sf_ir.Expr.t -> string
-(** Render an expression as C, delegating access rendering to the caller
-    (exposed for tests). *)
-
-val scheduled_body : Sf_ir.Expr.body -> Sf_ir.Expr.body
-(** The body as both backends emit it: original let names preserved, and
-    every structurally shared non-leaf DAG node hoisted into a [__tN]
-    local, so generated kernels compute each shared value once instead of
-    relying on the vendor compiler's CSE. Shared by both backends. *)

@@ -4,127 +4,56 @@ let top_function_name (p : Program.t) = "stencilflow_" ^ p.Program.name
 
 let stream_name ~src ~dst = Printf.sprintf "s_%s__%s" src dst
 
-let emit_stencil_pe buf (p : Program.t) analysis (s : Stencil.t) ~consumers ~writes_memory =
+let streamed (k : Kernel.t) =
+  List.filter_map
+    (function Kernel.Streamed { field; depth } -> Some (field, depth) | Kernel.Prefetched _ -> None)
+    k.Kernel.inputs
+
+(* Print one expanded stencil as a pipelined processing element. *)
+let emit_stencil_pe buf (k : Kernel.t) ~consumers ~writes_memory =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let name = s.Stencil.name in
-  let shape = p.Program.shape in
-  let rank = Program.rank p in
-  let w = p.Program.vector_width in
-  let n_words = Program.cells p / w in
-  let buffers = Sf_analysis.Internal_buffer.of_stencil p s in
-  let info = Sf_analysis.Delay_buffer.node_info analysis name in
-  let init = info.Sf_analysis.Delay_buffer.init_cycles in
-  (* See Opencl.emit_stencil_kernel: register sizing consistent with the
-     conservative consumption schedule. *)
-  let init_extra_of (b : Sf_analysis.Internal_buffer.t) =
-    Sf_support.Util.ceil_div b.init_elements (max 1 w)
-  in
-  let register_size (b : Sf_analysis.Internal_buffer.t) =
-    (init_extra_of b * w) + w + max 0 (-b.min_flat)
-  in
-  let tap_base (b : Sf_analysis.Internal_buffer.t) =
-    register_size b - w - (init_extra_of b * w)
-  in
-  let dims = List.filteri (fun i _ -> i < rank) [ "k"; "j"; "i" ] in
-  let dims = if rank = 2 then [ "j"; "i" ] else if rank = 1 then [ "i" ] else dims in
+  let name = k.Kernel.name and w = k.Kernel.width in
   let stream_params =
-    List.map (fun (b : Sf_analysis.Internal_buffer.t) -> Printf.sprintf "hls::stream<float>& in_%s" b.field) buffers
+    List.map (fun (field, _) -> Printf.sprintf "hls::stream<float>& in_%s" field) (streamed k)
     @ List.map (fun c -> Printf.sprintf "hls::stream<float>& out_%s" c) consumers
     @ (if writes_memory then [ Printf.sprintf "hls::stream<float>& out_mem_%s" name ] else [])
   in
   add "void pe_%s(%s) {\n" name (String.concat ", " stream_params);
   List.iter
-    (fun (b : Sf_analysis.Internal_buffer.t) ->
-      add "  float sr_%s[%d];\n" b.field (register_size b);
-      add "#pragma HLS ARRAY_PARTITION variable=sr_%s complete\n" b.field)
-    buffers;
+    (fun (r : Kernel.register) ->
+      add "  float sr_%s[%d];\n" r.field r.size;
+      add "#pragma HLS ARRAY_PARTITION variable=sr_%s complete\n" r.field)
+    k.Kernel.registers;
   add "loop_%s:\n" name;
-  add "  for (long t = 0; t < %dL + %dL; ++t) {\n" init n_words;
+  add "  for (long t = 0; t < %dL + %dL; ++t) {\n" k.Kernel.init_cycles k.Kernel.words;
   add "#pragma HLS PIPELINE II=1\n";
   (* Shift + update. *)
   List.iter
-    (fun (b : Sf_analysis.Internal_buffer.t) ->
-      if register_size b > w then
-        add "    for (int s = 0; s < %d; ++s) sr_%s[s] = sr_%s[s + %d];\n"
-          (register_size b - w) b.field b.field w;
-      let init_extra = init_extra_of b in
-      let start = init - init_extra in
-      let target = Printf.sprintf "sr_%s[%d + v]" b.field (register_size b - w) in
-      add "    if (t >= %dL && t < %dL + %dL)\n" start start n_words;
-      add "      for (int v = 0; v < %d; ++v) %s = in_%s.read();\n" w target b.field)
-    buffers;
-  add "    if (t >= %dL) {\n" init;
-  add "      long cell = (t - %dL) * %d;\n" init w;
+    (fun (r : Kernel.register) ->
+      if r.size > w then
+        add "    for (int s = 0; s < %d; ++s) sr_%s[s] = sr_%s[s + %d];\n" (r.size - w) r.field
+          r.field w;
+      add "    if (t >= %dL && t < %dL + %dL)\n" r.first_read r.first_read k.Kernel.words;
+      add "      for (int v = 0; v < %d; ++v) sr_%s[%d + v] = in_%s.read();\n" w r.field
+        (r.size - w) r.field)
+    k.Kernel.registers;
+  add "    if (t >= %dL) {\n" k.Kernel.init_cycles;
+  add "      long cell = (t - %dL) * %d;\n" k.Kernel.init_cycles w;
   add "      for (int v = 0; v < %d; ++v) {\n" w;
-  let strides = Program.strides p in
-  List.iteri
-    (fun d dim ->
-      add "        const long %s = ((cell + v) / %dL) %% %dL;\n" dim (List.nth strides d)
-        (List.nth shape d))
-    dims;
-  let tap (b : Sf_analysis.Internal_buffer.t) offsets =
-    let flat = Sf_analysis.Internal_buffer.flatten_offset ~shape offsets in
-    Printf.sprintf "sr_%s[%d + v]" b.field (tap_base b + flat)
-  in
-  let access ~field ~offsets =
-    match
-      List.find_opt (fun (b : Sf_analysis.Internal_buffer.t) -> b.field = field) buffers
-    with
-    | Some b ->
-        let guards =
-          List.concat
-            (List.mapi
-               (fun d o ->
-                 if o = 0 then []
-                 else
-                   [
-                     Printf.sprintf "(%s + (%d) >= 0 && %s + (%d) < %d)" (List.nth dims d) o
-                       (List.nth dims d) o (List.nth shape d);
-                   ])
-               offsets)
-        in
-        if guards = [] then tap b offsets
-        else begin
-          let fallback =
-            match Stencil.boundary_for s field with
-            | Boundary.Constant c -> Opencl.float_literal c
-            | Boundary.Copy -> tap b (List.map (fun _ -> 0) offsets)
-          in
-          Printf.sprintf "(%s ? %s : %s)" (String.concat " && " guards) (tap b offsets) fallback
-        end
-    | None ->
-        (* Lower-dimensional input, served from its prefetch array; the
-           index is the row-major flattening over the axes it spans
-           (scalars index 0). *)
-        let axes = Program.field_axes p field in
-        if axes = [] then Printf.sprintf "pref_%s[0]" field
-        else begin
-          let extents = List.map (fun a -> List.nth shape a) axes in
-          let rec index_terms axes offsets extents =
-            match (axes, offsets, extents) with
-            | [], [], [] -> []
-            | axis :: axes_rest, o :: offs_rest, _ :: ext_rest ->
-                let stride = List.fold_left ( * ) 1 ext_rest in
-                Printf.sprintf "(%s + (%d)) * %d" (List.nth dims axis) o stride
-                :: index_terms axes_rest offs_rest ext_rest
-            | _ -> assert false
-          in
-          Printf.sprintf "pref_%s[%s]" field
-            (String.concat " + " (index_terms axes offsets extents))
-        end
-  in
-  let body = Opencl.scheduled_body s.Stencil.body in
   List.iter
-    (fun (n, e) ->
-      add "        const float %s = %s;\n" n (Opencl.expression_to_c ~access e))
-    body.Expr.lets;
-  add "        const float value = %s;\n" (Opencl.expression_to_c ~access body.Expr.result);
+    (fun (d : Kernel.dim) ->
+      add "        const long %s = ((cell + v) / %dL) %% %dL;\n" d.index d.stride d.extent)
+    k.Kernel.dims;
+  List.iter (fun (n, e) -> add "        const float %s = %s;\n" n e) k.Kernel.lets;
+  add "        const float value = %s;\n" k.Kernel.result;
   List.iter (fun c -> add "        out_%s.write(value);\n" c) consumers;
   if writes_memory then add "        out_mem_%s.write(value);\n" name;
   add "      }\n    }\n  }\n}\n\n"
 
 let generate_unchecked (p : Program.t) =
   let analysis = Sf_analysis.Delay_buffer.analyze p in
+  let kernels = List.map (Kernel.expand p analysis) p.Program.stencils in
+  let writes_memory (k : Kernel.t) = List.exists (String.equal k.Kernel.name) p.Program.outputs in
   let rank = Program.rank p in
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -142,11 +71,11 @@ let generate_unchecked (p : Program.t) =
   add "\n";
   (* Processing elements. *)
   List.iter
-    (fun (s : Stencil.t) ->
-      emit_stencil_pe buf p analysis s
-        ~consumers:(Program.consumers p s.Stencil.name)
-        ~writes_memory:(List.exists (String.equal s.Stencil.name) p.Program.outputs))
-    p.Program.stencils;
+    (fun (k : Kernel.t) ->
+      emit_stencil_pe buf k
+        ~consumers:(Program.consumers p k.Kernel.name)
+        ~writes_memory:(writes_memory k))
+    kernels;
   (* Readers and writers. *)
   List.iter
     (fun (f : Field.t) ->
@@ -185,20 +114,16 @@ let generate_unchecked (p : Program.t) =
       end)
     p.Program.inputs;
   add "#pragma HLS DATAFLOW\n";
-  (* Stream declarations carry the analysed delay-buffer depths. *)
+  (* Stream declarations carry the expansion's stream depths. *)
   List.iter
-    (fun (s : Stencil.t) ->
+    (fun (k : Kernel.t) ->
       List.iter
-        (fun field ->
-          if List.length (Program.field_axes p field) = rank then begin
-            let depth = max 1 (Sf_analysis.Delay_buffer.buffer_for analysis ~src:field ~dst:s.Stencil.name) in
-            add "  hls::stream<float> %s;\n" (stream_name ~src:field ~dst:s.Stencil.name);
-            add "#pragma HLS STREAM variable=%s depth=%d\n"
-              (stream_name ~src:field ~dst:s.Stencil.name)
-              depth
-          end)
-        (Stencil.input_fields s))
-    p.Program.stencils;
+        (fun (field, depth) ->
+          let stream = stream_name ~src:field ~dst:k.Kernel.name in
+          add "  hls::stream<float> %s;\n" stream;
+          add "#pragma HLS STREAM variable=%s depth=%d\n" stream depth)
+        (streamed k))
+    kernels;
   List.iter
     (fun o ->
       add "  hls::stream<float> %s;\n" (stream_name ~src:o ~dst:"mem");
@@ -215,25 +140,15 @@ let generate_unchecked (p : Program.t) =
                 (Program.consumers p f.Field.name))))
     p.Program.inputs;
   List.iter
-    (fun (s : Stencil.t) ->
-      let ins =
-        List.filter_map
-          (fun field ->
-            if List.length (Program.field_axes p field) = rank then
-              Some (stream_name ~src:field ~dst:s.Stencil.name)
-            else None)
-          (Stencil.input_fields s)
-      in
+    (fun (k : Kernel.t) ->
+      let name = k.Kernel.name in
+      let ins = List.map (fun (field, _) -> stream_name ~src:field ~dst:name) (streamed k) in
       let outs =
-        List.map (fun c -> stream_name ~src:s.Stencil.name ~dst:c)
-          (Program.consumers p s.Stencil.name)
-        @
-        if List.exists (String.equal s.Stencil.name) p.Program.outputs then
-          [ stream_name ~src:s.Stencil.name ~dst:"mem" ]
-        else []
+        List.map (fun c -> stream_name ~src:name ~dst:c) (Program.consumers p name)
+        @ if writes_memory k then [ stream_name ~src:name ~dst:"mem" ] else []
       in
-      add "  pe_%s(%s);\n" s.Stencil.name (String.concat ", " (ins @ outs)))
-    p.Program.stencils;
+      add "  pe_%s(%s);\n" name (String.concat ", " (ins @ outs)))
+    kernels;
   List.iter
     (fun o -> add "  write_%s(%s, mem_%s);\n" o (stream_name ~src:o ~dst:"mem") o)
     p.Program.outputs;

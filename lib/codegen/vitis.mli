@@ -3,10 +3,11 @@
     The paper notes that "supporting Xilinx FPGAs, emitting RTL code
     directly, or targeting other spatial systems entirely will only
     require adapting the stencil library node expansion" (Sec. VI). This
-    backend demonstrates that claim: the same analysis results lower to
-    Vitis-HLS C++ — one dataflow region whose processing elements
-    communicate through [hls::stream] channels carrying the analysed
-    depths, with [PIPELINE II=1] loops and partitioned shift registers.
+    backend demonstrates that claim: it prints the same {!Kernel.expand}
+    expansion as {!Opencl}, as Vitis-HLS C++ — one dataflow region whose
+    processing elements communicate through [hls::stream] channels
+    carrying the expansion's stream depths, with [PIPELINE II=1] loops and
+    partitioned shift registers.
 
     Single-device only (Xilinx boards in the paper's comparison have no
     SMI equivalent); use {!Opencl} for multi-device programs. *)

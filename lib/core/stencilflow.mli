@@ -50,7 +50,6 @@ module Fault_plan = Sf_sim.Fault_plan
 module Faults = Sf_sim.Faults
 module Telemetry = Sf_sim.Telemetry
 module Timeloop = Sf_sim.Timeloop
-module Sdfg = Sf_sdfg.Sdfg
 module Fusion = Sf_sdfg.Fusion
 module Transform = Sf_sdfg.Transform
 module Opt = Sf_sdfg.Opt
@@ -59,6 +58,7 @@ module Partition = Sf_mapping.Partition
 module Tiling = Sf_mapping.Tiling
 module Autotune = Sf_mapping.Autotune
 module Smi = Sf_smi.Smi
+module Kernel = Sf_codegen.Kernel
 module Opencl = Sf_codegen.Opencl
 module Report = Sf_codegen.Report
 module Vitis = Sf_codegen.Vitis

@@ -1,75 +1,5 @@
 open Sf_ir
 
-let program_of_sdfg t =
-  match Sdfg.extract_program t with
-  | Ok p -> p
-  | Error m -> invalid_arg ("Transform: cannot recover stencil program: " ^ m)
-
-let map_fission (t : Sdfg.t) =
-  let p = program_of_sdfg t in
-  let full_shape = p.Program.shape in
-  let containers =
-    List.map
-      (fun (f : Field.t) ->
-        {
-          Sdfg.cname = f.Field.name;
-          dtype = f.Field.dtype;
-          extent = Field.extent f ~shape:full_shape;
-          storage = Sdfg.Off_chip;
-          transient = false;
-          axes_hint = Some f.Field.axes;
-        })
-      p.Program.inputs
-    @ List.map
-        (fun (s : Stencil.t) ->
-          {
-            Sdfg.cname = s.Stencil.name;
-            dtype = p.Program.dtype;
-            extent = full_shape;
-            storage = Sdfg.Off_chip;
-            axes_hint = None;
-            (* Temporaries introduced by fission are transient; declared
-               program outputs stay externally visible. *)
-            transient = not (List.exists (String.equal s.Stencil.name) p.Program.outputs);
-          })
-        p.Program.stencils
-  in
-  let state_of_stencil (s : Stencil.t) =
-    let g = ref Sdfg.empty_graph in
-    let node n =
-      let g', id = Sdfg.add_node !g n in
-      g := g';
-      id
-    in
-    let sid = node (Sdfg.Stencil_node s) in
-    List.iter
-      (fun field ->
-        let aid = node (Sdfg.Access field) in
-        g := Sdfg.add_edge !g ~src:aid ~dst:sid ~data:field ~subset:"[full]")
-      (Stencil.input_fields s);
-    let out = node (Sdfg.Access s.Stencil.name) in
-    g := Sdfg.add_edge !g ~src:sid ~dst:out ~data:s.Stencil.name ~subset:"[full]";
-    { Sdfg.slabel = "state_" ^ s.Stencil.name; body = !g }
-  in
-  {
-    Sdfg.name = t.Sdfg.name;
-    containers =
-      containers
-      @ [
-          {
-            Sdfg.cname = Printf.sprintf "__sym_W_%d" p.Program.vector_width;
-            dtype = Dtype.I32;
-            extent = [];
-            storage = Sdfg.On_chip;
-            transient = true;
-            axes_hint = None;
-          };
-        ];
-    states = List.map state_of_stencil (Program.topological_stencils p);
-  }
-
-let state_fusion (t : Sdfg.t) = Sdfg.of_program (program_of_sdfg t)
-
 let nest_dim (p : Program.t) ~extent =
   if Program.rank p >= 3 then
     invalid_arg "Transform.nest_dim: programs are limited to 3 dimensions";

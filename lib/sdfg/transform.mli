@@ -1,28 +1,7 @@
-(** General-purpose graph transformations (paper, Sec. V-A, Fig. 10).
-
-    Together with {!Fusion}, these are the rewrites StencilFlow uses to
-    extract analyzable stencil programs from externally produced SDFGs
-    and to reshape them for hardware:
-
-    - {b MapFission} splits a parallel subgraph (a state holding several
-      stencil library nodes) into multiple states, introducing transient
-      off-chip storage between the components;
-    - {b state fusion} is its inverse: consecutive single-stencil states
-      merge back into one dataflow state, turning the temporaries back
-      into streams — this is the canonicalization used before extracting
-      the stencil program;
-    - {b NestDim} reschedules parametrically-parallel stencils over a new
-      outer dimension: a 2D program becomes a 3D program whose original
-      inputs span only the inner axes. *)
-
-val map_fission : Sdfg.t -> Sdfg.t
-(** Split every state with more than one stencil library node into one
-    state per stencil, in topological order. Stream containers crossing
-    the new state boundaries become transient off-chip arrays. *)
-
-val state_fusion : Sdfg.t -> Sdfg.t
-(** Merge all states into a single dataflow state, rebuilding streams
-    between stencils (inverse of {!map_fission} up to stream depths). *)
+(** NestDim (paper, Sec. V-A, Fig. 10): reschedule parametrically
+    parallel stencils over a new outer dimension, so that a 2D program
+    becomes a 3D program whose original inputs span only the inner axes.
+    {!Pipeline.nest} runs it as a pipeline pass. *)
 
 val nest_dim : Sf_ir.Program.t -> extent:int -> Sf_ir.Program.t
 (** Lift a program to one more (outer) dimension of the given extent:

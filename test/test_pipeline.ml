@@ -1,5 +1,8 @@
 open Sf_ir
 module Pipeline = Sf_sdfg.Pipeline
+module Transform = Sf_sdfg.Transform
+module Interp = Sf_reference.Interp
+module Tensor = Sf_reference.Tensor
 module Engine = Sf_sim.Engine
 
 let run ?verify ?max_probe_cells passes p =
@@ -83,6 +86,37 @@ let test_large_domains_skip_probes () =
     (fun e -> Alcotest.(check (option bool)) "skipped" None e.Pipeline.verified)
     entries
 
+let test_nest_dim () =
+  let p2d = Fixtures.laplace2d ~shape:[ 6; 8 ] () in
+  let p3d = Transform.nest_dim p2d ~extent:4 in
+  Alcotest.(check (list int)) "lifted shape" [ 4; 6; 8 ] p3d.Program.shape;
+  (* Inputs span the inner axes only. *)
+  Alcotest.(check (list int)) "input axes" [ 1; 2 ] (Program.field_axes p3d "a");
+  (* Every outer slice equals the 2D program's result. *)
+  let a2d = List.assoc "a" (Interp.random_inputs p2d) in
+  let r2d = (List.assoc "lap" (Interp.run p2d ~inputs:[ ("a", a2d) ])).Interp.tensor in
+  let r3d =
+    (List.assoc "lap" (Interp.run p3d ~inputs:[ ("a", a2d) ])).Interp.tensor
+  in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun j ->
+          List.iter
+            (fun i ->
+              Alcotest.(check (float 1e-12))
+                (Printf.sprintf "slice %d cell (%d,%d)" k j i)
+                (Tensor.get r2d [ j; i ])
+                (Tensor.get r3d [ k; j; i ]))
+            (Sf_support.Util.range 8))
+        (Sf_support.Util.range 6))
+    (Sf_support.Util.range 4)
+
+let test_nest_dim_rejects_3d () =
+  match Transform.nest_dim (Fixtures.kitchen_sink ()) ~extent:2 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "lifting a 3D program must fail"
+
 let suite =
   [
     Alcotest.test_case "default pipeline on hdiff" `Quick test_default_pipeline_on_hdiff;
@@ -92,4 +126,6 @@ let suite =
     Alcotest.test_case "broken passes are detected" `Quick test_broken_pass_detected;
     Alcotest.test_case "verification can be disabled" `Quick test_verification_disabled;
     Alcotest.test_case "large domains skip probes" `Quick test_large_domains_skip_probes;
+    Alcotest.test_case "nest dim lifts 2D to 3D" `Quick test_nest_dim;
+    Alcotest.test_case "nest dim rejects 3D input" `Quick test_nest_dim_rejects_3d;
   ]
