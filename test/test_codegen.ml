@@ -153,26 +153,6 @@ let test_dot_export () =
   check_contains dot
     [ "digraph"; "\"x\" [shape=box"; "\"c\" [shape=ellipse, peripheries=2]"; "\"a\" -> \"c\" [label=\"14\"]" ]
 
-let test_kernel_expand () =
-  (* Laplace 8x8: the register both backends declare for a holds the
-     2I read-ahead, one word and the negative reach I: 16 + 1 + 8. *)
-  let p = Fixtures.laplace2d ~shape:[ 8; 8 ] () in
-  let analysis = Sf_analysis.Delay_buffer.analyze p in
-  let k = Kernel.expand p analysis (List.hd p.Program.stencils) in
-  (match k.Kernel.registers with
-  | [ r ] ->
-      Alcotest.(check string) "register field" "a" r.Kernel.field;
-      Alcotest.(check int) "sr_a size" 25 r.Kernel.size
-  | rs -> Alcotest.fail (Printf.sprintf "expected 1 register, got %d" (List.length rs)));
-  (* Diamond: b's initialization phase (span 3 on both sides) and the
-     skip edge a -> c carrying b's latency. *)
-  let p = Fixtures.diamond ~shape:[ 8; 16 ] ~span:3 () in
-  let analysis = Sf_analysis.Delay_buffer.analyze p in
-  let expand name = Kernel.expand p analysis (Option.get (Program.find_stencil p name)) in
-  Alcotest.(check int) "b init cycles" 6 (expand "b").Kernel.init_cycles;
-  Alcotest.(check bool) "stream a -> c depth 14" true
-    (List.mem (Kernel.Streamed { field = "a"; depth = 14 }) (expand "c").Kernel.inputs)
-
 (* Byte pins over the full generated sources: MD5 digests of every
    OpenCL artifact (file name and source) and the host source, on one
    device and, for programs with at least two stencils, split over two
@@ -291,6 +271,5 @@ let suite =
     Alcotest.test_case "vitis backend structure" `Quick test_vitis_backend;
     Alcotest.test_case "vitis backend kitchen sink" `Quick test_vitis_kitchen_sink;
     Alcotest.test_case "graphviz export" `Quick test_dot_export;
-    Alcotest.test_case "kernel expansion (fig 12)" `Quick test_kernel_expand;
     Alcotest.test_case "generated sources pinned by digest" `Quick test_codegen_bytes_pinned;
   ]

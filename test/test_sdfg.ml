@@ -1,212 +1,35 @@
+(* The Stencil library node expansion (paper, Fig. 12) as both code
+   generators print it: Kernel.expand. *)
 open Sf_ir
-module Sdfg = Sf_sdfg.Sdfg
-module Transform = Sf_sdfg.Transform
-module Interp = Sf_reference.Interp
-module Tensor = Sf_reference.Tensor
+module Kernel = Sf_codegen.Kernel
 
-let check_valid sdfg =
-  match Sdfg.validate sdfg with
-  | Ok () -> ()
-  | Error errs -> Alcotest.fail (String.concat "; " errs)
-
-let semantically_equal p q =
-  (* Same outputs on the same random inputs. *)
-  let inputs = Interp.random_inputs p in
-  let rp = Interp.run p ~inputs and rq = Interp.run q ~inputs in
-  List.for_all
-    (fun (name, (r : Interp.result)) ->
-      match List.assoc_opt name rq with
-      | None -> false
-      | Some r' -> Tensor.max_abs_diff r.Interp.tensor r'.Interp.tensor < 1e-12)
-    rp
-
-let test_of_program_structure () =
-  let p = Fixtures.diamond ~shape:[ 8; 16 ] ~span:3 () in
-  let sdfg = Sdfg.of_program p in
-  check_valid sdfg;
-  let states, nodes, edges = Sdfg.stats sdfg in
-  Alcotest.(check int) "one state" 1 states;
-  Alcotest.(check bool) "nodes present" true (nodes > 4);
-  Alcotest.(check bool) "edges present" true (edges > 4);
-  (* The skip-edge stream a -> c carries the analysed delay buffer. *)
-  match Sdfg.find_container sdfg "a__to__c" with
-  | Some { Sdfg.storage = Sdfg.Stream { depth }; transient = true; _ } ->
-      (* init 6 + default add latency 8 of b. *)
-      Alcotest.(check int) "stream depth is the delay buffer" 14 depth
-  | Some _ -> Alcotest.fail "a__to__c should be a transient stream"
-  | None -> Alcotest.fail "missing stream container a__to__c"
-
-let test_extract_roundtrip () =
-  List.iter
-    (fun p ->
-      let sdfg = Sdfg.of_program p in
-      match Sdfg.extract_program sdfg with
-      | Error m -> Alcotest.fail m
-      | Ok q ->
-          Alcotest.(check int)
-            (p.Program.name ^ ": stencil count")
-            (List.length p.Program.stencils)
-            (List.length q.Program.stencils);
-          Alcotest.(check bool) (p.Program.name ^ ": semantics") true (semantically_equal p q))
-    [
-      Fixtures.laplace2d ();
-      Fixtures.diamond ();
-      Fixtures.kitchen_sink ();
-      Fixtures.fork ();
-    ]
-
-let count_nodes pred g =
-  let rec go g =
-    List.fold_left
-      (fun acc (_, n) ->
-        let nested =
-          match n with
-          | Sdfg.Pipeline { body; _ } | Sdfg.Unrolled_map { body; _ } -> go body
-          | Sdfg.Access _ | Sdfg.Tasklet _ | Sdfg.Stencil_node _ -> 0
-        in
-        acc + nested + if pred n then 1 else 0)
-      0 g.Sdfg.nodes
-  in
-  go g
-
-let count_in_sdfg pred (sdfg : Sdfg.t) =
-  List.fold_left (fun acc st -> acc + count_nodes pred st.Sdfg.body) 0 sdfg.Sdfg.states
+let expand p name =
+  let analysis = Sf_analysis.Delay_buffer.analyze p in
+  Kernel.expand p analysis (Option.get (Program.find_stencil p name))
 
 let test_expansion () =
   let p = Fixtures.laplace2d ~shape:[ 8; 8 ] () in
-  let sdfg = Sdfg.expand_library_nodes (Sdfg.of_program p) in
-  check_valid sdfg;
-  Alcotest.(check int) "no library nodes remain" 0
-    (count_in_sdfg (function Sdfg.Stencil_node _ -> true | _ -> false) sdfg);
-  Alcotest.(check int) "one pipeline scope" 1
-    (count_in_sdfg (function Sdfg.Pipeline _ -> true | _ -> false) sdfg);
-  Alcotest.(check bool) "shift phase present" true
-    (count_in_sdfg (function Sdfg.Unrolled_map _ -> true | _ -> false) sdfg > 0);
-  (* The laplace accesses span [-I, +I]: shift register of 2I + W. *)
-  match Sdfg.find_container sdfg "sr_lap_a" with
-  | Some { Sdfg.extent = [ size ]; storage = Sdfg.On_chip; _ } ->
-      Alcotest.(check int) "shift register size" ((2 * 8) + 1) size
-  | Some _ | None -> Alcotest.fail "expected shift register container sr_lap_a"
+  let k = expand p (List.hd p.Program.stencils).Stencil.name in
+  Alcotest.(check int) "one output word per cell" 64 k.Kernel.words;
+  (* The laplace accesses span [-I, +I]: the register both backends
+     declare for a holds the 2I read-ahead, one word and the negative
+     reach I: 16 + 1 + 8. *)
+  match k.Kernel.registers with
+  | [ r ] ->
+      Alcotest.(check string) "register field" "a" r.Kernel.field;
+      Alcotest.(check int) "sr_a size" 25 r.Kernel.size
+  | rs -> Alcotest.fail (Printf.sprintf "expected 1 register, got %d" (List.length rs))
 
 let test_expansion_pipeline_phases () =
+  (* Diamond: b has an initialization phase of 6 cycles (span 3 on both
+     sides), and the skip edge a -> c carries b's latency. *)
   let p = Fixtures.diamond ~shape:[ 8; 16 ] ~span:3 () in
-  let sdfg = Sdfg.expand_library_nodes (Sdfg.of_program p) in
-  check_valid sdfg;
-  (* b has init phase 6 cycles (span 6 buffer). *)
-  let found = ref false in
-  let rec scan g =
-    List.iter
-      (fun (_, n) ->
-        match n with
-        | Sdfg.Pipeline { label; init_cycles; body; _ } ->
-            if String.equal label "pipeline_b" then begin
-              found := true;
-              Alcotest.(check int) "init cycles" 6 init_cycles
-            end;
-            scan body
-        | Sdfg.Unrolled_map { body; _ } -> scan body
-        | Sdfg.Access _ | Sdfg.Tasklet _ | Sdfg.Stencil_node _ -> ())
-      g.Sdfg.nodes
-  in
-  List.iter (fun st -> scan st.Sdfg.body) sdfg.Sdfg.states;
-  Alcotest.(check bool) "pipeline_b found" true !found
-
-let test_map_fission () =
-  let p = Fixtures.diamond ~shape:[ 8; 16 ] ~span:2 () in
-  let fissioned = Transform.map_fission (Sdfg.of_program p) in
-  check_valid fissioned;
-  Alcotest.(check int) "one state per stencil" 3 (List.length fissioned.Sdfg.states);
-  (* Intermediates become transient off-chip arrays. *)
-  (match Sdfg.find_container fissioned "a" with
-  | Some { Sdfg.storage = Sdfg.Off_chip; transient = true; _ } -> ()
-  | Some _ | None -> Alcotest.fail "intermediate a should be transient off-chip");
-  (match Sdfg.find_container fissioned "c" with
-  | Some { Sdfg.transient = false; _ } -> ()
-  | Some _ | None -> Alcotest.fail "output c stays externally visible");
-  match Sdfg.extract_program fissioned with
-  | Error m -> Alcotest.fail m
-  | Ok q -> Alcotest.(check bool) "semantics preserved" true (semantically_equal p q)
-
-let test_state_fusion_roundtrip () =
-  let p = Fixtures.kitchen_sink () in
-  let refused = Transform.state_fusion (Transform.map_fission (Sdfg.of_program p)) in
-  check_valid refused;
-  Alcotest.(check int) "single state" 1 (List.length refused.Sdfg.states);
-  match Sdfg.extract_program refused with
-  | Error m -> Alcotest.fail m
-  | Ok q ->
-      Alcotest.(check bool) "semantics preserved" true (semantically_equal p q);
-      (* Streams are back. *)
-      Alcotest.(check bool) "streams rebuilt" true
-        (List.exists
-           (fun c -> match c.Sdfg.storage with Sdfg.Stream _ -> true | _ -> false)
-           refused.Sdfg.containers)
-
-let test_nest_dim () =
-  let p2d = Fixtures.laplace2d ~shape:[ 6; 8 ] () in
-  let p3d = Transform.nest_dim p2d ~extent:4 in
-  Alcotest.(check (list int)) "lifted shape" [ 4; 6; 8 ] p3d.Program.shape;
-  (* Inputs span the inner axes only. *)
-  Alcotest.(check (list int)) "input axes" [ 1; 2 ] (Program.field_axes p3d "a");
-  (* Every outer slice equals the 2D program's result. *)
-  let a2d = List.assoc "a" (Interp.random_inputs p2d) in
-  let r2d = (List.assoc "lap" (Interp.run p2d ~inputs:[ ("a", a2d) ])).Interp.tensor in
-  let r3d =
-    (List.assoc "lap" (Interp.run p3d ~inputs:[ ("a", a2d) ])).Interp.tensor
-  in
-  List.iter
-    (fun k ->
-      List.iter
-        (fun j ->
-          List.iter
-            (fun i ->
-              Alcotest.(check (float 1e-12))
-                (Printf.sprintf "slice %d cell (%d,%d)" k j i)
-                (Tensor.get r2d [ j; i ])
-                (Tensor.get r3d [ k; j; i ]))
-            (Sf_support.Util.range 8))
-        (Sf_support.Util.range 6))
-    (Sf_support.Util.range 4)
-
-let test_nest_dim_rejects_3d () =
-  match Transform.nest_dim (Fixtures.kitchen_sink ()) ~extent:2 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "lifting a 3D program must fail"
-
-let test_validate_catches_corruption () =
-  let p = Fixtures.laplace2d () in
-  let sdfg = Sdfg.of_program p in
-  let broken =
-    {
-      sdfg with
-      Sdfg.states =
-        List.map
-          (fun st ->
-            {
-              st with
-              Sdfg.body =
-                {
-                  st.Sdfg.body with
-                  Sdfg.edges =
-                    { Sdfg.src = 999; dst = 0; data = "x"; subset = "" } :: st.Sdfg.body.Sdfg.edges;
-                };
-            })
-          sdfg.Sdfg.states;
-    }
-  in
-  match Sdfg.validate broken with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "expected validation failure"
+  Alcotest.(check int) "b init cycles" 6 (expand p "b").Kernel.init_cycles;
+  Alcotest.(check bool) "stream a -> c depth 14" true
+    (List.mem (Kernel.Streamed { field = "a"; depth = 14 }) (expand p "c").Kernel.inputs)
 
 let suite =
   [
-    Alcotest.test_case "lowering structure and stream depths" `Quick test_of_program_structure;
-    Alcotest.test_case "extract inverts lowering" `Quick test_extract_roundtrip;
     Alcotest.test_case "library node expansion (fig 12)" `Quick test_expansion;
     Alcotest.test_case "pipeline scope init phases" `Quick test_expansion_pipeline_phases;
-    Alcotest.test_case "map fission introduces temporaries" `Quick test_map_fission;
-    Alcotest.test_case "state fusion inverts fission" `Quick test_state_fusion_roundtrip;
-    Alcotest.test_case "nest dim lifts 2D to 3D" `Quick test_nest_dim;
-    Alcotest.test_case "nest dim rejects 3D input" `Quick test_nest_dim_rejects_3d;
-    Alcotest.test_case "validation catches dangling edges" `Quick test_validate_catches_corruption;
   ]
