@@ -189,7 +189,8 @@ let check_bit_identical ?(invalid_too = false) what expected actual =
    as an extent (whole blocks out of bounds, along the innermost and the
    outer axes), reads across block boundaries of a produced field, a
    binding nothing reads, and a 3-D program reading lower-dimensional
-   fields that do and do not span the innermost axis, and a scalar. *)
+   fields that do and do not span the innermost axis, and a scalar, and
+   a program whose rows are a single word at W = 4. *)
 let edge_programs ~boundary ~shrink ~vector_width =
   let two_d =
     let b = Builder.create ~vector_width ~name:"edges2d" ~shape:[ 5; 100 ] () in
@@ -233,7 +234,23 @@ let edge_programs ~boundary ~shrink ~vector_width =
     Builder.output b "s";
     Builder.finish b
   in
-  [ two_d; three_d ]
+  (* An innermost extent of 4: every block of a stencil unit ends at its
+     row, and at W = 4 it is a single word. Inner offsets of +-5 put
+     whole rows out of bounds; +-1 start and end runs mid-word. *)
+  let narrow =
+    let b = Builder.create ~vector_width ~name:"edges_narrow" ~shape:[ 6; 4 ] () in
+    Builder.input b "a";
+    Builder.stencil b ~boundary:[ ("a", boundary) ] ~shrink "s"
+      E.(
+        acc "a" [ 0; -1 ] +% acc "a" [ 0; 1 ] +% acc "a" [ 1; 0 ] -% acc "a" [ -1; 0 ]
+        +% (acc "a" [ -1; -1 ] *% acc "a" [ 1; 1 ]));
+    Builder.stencil b ~boundary:[ ("s", boundary) ] ~shrink "s2"
+      E.(acc "s" [ 0; -5 ] +% acc "s" [ 1; 5 ] +% acc "s" [ -1; 2 ] +% acc "s" [ 0; 0 ]);
+    Builder.output b "s";
+    Builder.output b "s2";
+    Builder.finish b
+  in
+  [ two_d; three_d; narrow ]
 
 let edge_configurations =
   List.concat_map
