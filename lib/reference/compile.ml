@@ -109,17 +109,42 @@ let compile ?(cells = 64) (b : Expr.body) =
     root = reg root;
   }
 
-let halo t ~rank ~axes =
-  let lo = Array.make rank 0 and hi = Array.make rank 0 in
-  Array.iter
-    (fun (field, offsets) ->
-      List.iter2
-        (fun axis o ->
-          lo.(axis) <- max lo.(axis) (-o);
-          hi.(axis) <- max hi.(axis) o)
-        (axes field) offsets)
-    t.accesses;
-  (lo, hi)
+type copy = step:int -> from:int -> float array -> int -> int -> int -> unit
+
+(* Along the innermost axis, when the field spans it (as its last axis),
+   cell k reads index idx + k + o; a field without it reads one element
+   for the whole block. *)
+let gather_row ~extents ~idx ~axes ~offs ~strides ~boundary ~oob ~(copy : copy) dst pos n =
+  let rank = Array.length extents and m = Array.length axes in
+  let row = extents.(rank - 1) in
+  let step = if m > 0 && axes.(m - 1) = rank - 1 then 1 else 0 in
+  let target = ref 0 and center = ref 0 and ok = ref true in
+  for d = 0 to m - 1 do
+    let i = idx.(axes.(d)) in
+    let o = i + offs.(d) in
+    if d < m - step && (o < 0 || o >= extents.(axes.(d))) then ok := false;
+    target := !target + (o * strides.(d));
+    center := !center + (i * strides.(d))
+  done;
+  let first = if step = 1 then idx.(rank - 1) + offs.(m - 1) else 0 in
+  let lo = if !ok then max 0 (min n (-first)) else 0 in
+  let hi = if not !ok then 0 else if step = 0 then n else max lo (min n (row - first)) in
+  if lo < hi then copy ~step ~from:!target dst pos lo hi;
+  if lo > 0 || hi < n then begin
+    (match boundary with
+    | Boundary.Constant c ->
+        Array.fill dst pos lo c;
+        Array.fill dst (pos + hi) (n - hi) c
+    | Boundary.Copy ->
+        if lo > 0 then copy ~step ~from:!center dst pos 0 lo;
+        if hi < n then copy ~step ~from:!center dst pos hi n);
+    Array.fill oob 0 lo true;
+    Array.fill oob hi (n - hi) true
+  end
+
+let copy_tensor data ~step ~from dst pos a b =
+  if step = 1 then Array.blit data (from + a) dst (pos + a) (b - a)
+  else Array.fill dst (pos + a) (b - a) data.(from)
 
 external get : float array -> int -> float = "%array_unsafe_get"
 external set : float array -> int -> float -> unit = "%array_unsafe_set"

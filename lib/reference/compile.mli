@@ -28,11 +28,38 @@ val accesses : t -> (string * int list) array
 val registers : t -> int
 (** Registers after liveness allocation: each holds one block. *)
 
-val halo : t -> rank:int -> axes:(string -> int list) -> int array * int array
-(** Per iteration-space axis, the largest negative offset (as a
-    non-negative distance) and the largest positive offset of any access;
-    [axes] maps a field to the axes its offsets index. A cell at least
-    that far from every edge reads no out-of-bounds value. *)
+type copy = step:int -> from:int -> float array -> int -> int -> int -> unit
+(** [copy ~step ~from dst pos a b] writes cells [a] to [b - 1] (at
+    least one) of a block to [dst.(pos + a) ..]: cell [k] reads storage
+    element [from + step * k]. *)
+
+val gather_row :
+  extents:int array ->
+  idx:int array ->
+  axes:int array ->
+  offs:int array ->
+  strides:int array ->
+  boundary:Sf_ir.Boundary.t ->
+  oob:bool array ->
+  copy:copy ->
+  float array ->
+  int ->
+  int ->
+  unit
+(** The row-run rule of every gather, from a tensor or from a stencil
+    unit's shift register. [gather_row ... ~copy dst pos n] fills one
+    access for a block of [n] cells of the iteration space [extents],
+    consecutive along its innermost axis from multi-index [idx]. The
+    field spans program [axes], is stored with [strides] along them and
+    is read at offsets [offs]. The cells reading inside the domain form
+    one run, which [copy] writes. The others take the [boundary] value
+    ([Copy] copies their own elements) and set their [oob] flags. An
+    out-of-range offset along an outer axis puts the whole block out of
+    the run. Allocates nothing. *)
+
+val copy_tensor : float array -> copy
+(** Copy from a tensor's row-major storage: a blit, or one element
+    repeated when [step] is 0. *)
 
 type gather = int -> float array -> int -> int -> unit
 (** [gather a dst pos n] writes the values of access [a] for the block's

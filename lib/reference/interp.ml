@@ -68,10 +68,11 @@ let input_extent (p : Program.t) (f : Field.t) =
   match Field.extent f ~shape:p.Program.shape with [] -> [ 1 ] | extent -> extent
 
 (* One access of a stencil body, resolved against its backing tensor:
-   the program axes the field spans, the offset along each, the field's
-   own row-major strides, and its boundary condition. *)
+   the copy from its storage, the program axes the field spans, the
+   offset along each, the field's own row-major strides, and its
+   boundary condition. *)
 type source = {
-  data : float array;
+  copy : Compile.copy;
   axes : int array;
   offs : int array;
   strides : int array;
@@ -117,41 +118,13 @@ let run_all (p : Program.t) ~inputs =
     for d = m - 2 downto 0 do
       strides.(d) <- strides.(d + 1) * extents.(axes.(d + 1))
     done;
-    { data; axes; offs = Array.of_list offsets; strides; boundary = Stencil.boundary_for s field }
+    let offs = Array.of_list offsets and boundary = Stencil.boundary_for s field in
+    { copy = Compile.copy_tensor data; axes; offs; strides; boundary }
   in
-  (* Blit the in-bounds run of the row and fill the other cells with the
-     boundary value. Along the innermost axis, when the field spans it
-     (as its last axis), cell k reads index idx + k + o; a field without
-     it reads one element for the whole block. An out-of-range outer
-     axis puts the whole block out of bounds. *)
   let gather sources a dst pos n =
-    let src = sources.(a) in
-    let m = Array.length src.axes in
-    let step = if m > 0 && src.axes.(m - 1) = rank - 1 then 1 else 0 in
-    let base = ref 0 and center = ref 0 and ok = ref true in
-    for d = 0 to m - 1 do
-      let i = idx.(src.axes.(d)) in
-      let target = i + src.offs.(d) in
-      if d < m - step && (target < 0 || target >= extents.(src.axes.(d))) then ok := false;
-      base := !base + (target * src.strides.(d));
-      center := !center + (i * src.strides.(d))
-    done;
-    let first = if step = 1 then idx.(rank - 1) + src.offs.(m - 1) else 0 in
-    let lo = if !ok then max 0 (min n (-first)) else 0 in
-    let hi = if not !ok then 0 else if step = 0 then n else max lo (min n (inner - first)) in
-    if step = 1 && lo < hi then Array.blit src.data (!base + lo) dst (pos + lo) (hi - lo)
-    else if lo < hi then Array.fill dst pos n src.data.(!base);
-    (* The cells outside [lo, hi). *)
-    let k = ref (if lo = 0 then hi else 0) in
-    while !k < n do
-      oob.(!k) <- true;
-      dst.(pos + !k) <-
-        (match src.boundary with
-        | Boundary.Constant c -> c
-        | Boundary.Copy -> src.data.(!center + (step * !k)));
-      incr k;
-      if !k = lo then k := hi
-    done
+    let s = sources.(a) in
+    Compile.gather_row ~extents ~idx ~axes:s.axes ~offs:s.offs ~strides:s.strides
+      ~boundary:s.boundary ~oob ~copy:s.copy dst pos n
   in
   let results = ref [] in
   let eval_stencil (s : Stencil.t) =

@@ -1,6 +1,7 @@
 open Sf_ir
 module Tensor = Sf_reference.Tensor
 module Compile = Sf_reference.Compile
+module Ib = Sf_analysis.Internal_buffer
 
 type input_binding = {
   field : string;
@@ -14,8 +15,15 @@ type input_binding = {
    ring is longer (see [create]) so that words evaluated a few steps
    late still find their elements. [newest] is the flat element index of
    the most recently received element (-1 before any data arrives) and
-   [head] its slot in [data]. *)
-type window = { data : float array; cap : int; mutable newest : int; mutable head : int }
+   [head] its slot in [data]; [recorded] holds the [newest] each word of
+   the block being evaluated recorded at its step. *)
+type window = {
+  data : float array;
+  cap : int;
+  mutable newest : int;
+  mutable head : int;
+  recorded : int array;
+}
 
 (* [axes] are the iteration-space axes the input spans and [strides]
    its storage strides along them: the element stream's for a window,
@@ -32,8 +40,8 @@ type input_state = {
 }
 
 (* One distinct access of the body: its input, the offset along each of
-   the input's axes, and the flat storage offset they make. *)
-type tap = { input : int; offs : int array; flat : int }
+   the input's axes, and the copy from the input's window or tensor. *)
+type tap = { input : int; offs : int array; copy : Compile.copy }
 
 type t = {
   name : string;
@@ -47,16 +55,11 @@ type t = {
   outputs : Channel.t array;
   body : Compile.t;
   taps : tap array;
-  (* Cells at least this far from the low/high edge of every axis read
-     no out-of-bounds value (Compile.halo). *)
-  halo_lo : int array;
-  halo_hi : int array;
-  (* The block of pending words being evaluated, from the head: per cell
-     its multi-index ([cell * rank + axis]), whether it lies inside the
-     halo box, and whether an access left the domain. *)
+  (* The block of pending words being evaluated, from the head, all on
+     the head's row: its first cell's multi-index, and per cell whether
+     an access left the domain. *)
   block_words : int;
   block_idx : int array;
-  block_interior : bool array;
   block_oob : bool array;
   block_out : float array;
   shrink : bool;
@@ -85,14 +88,6 @@ type t = {
   probe : Telemetry.probe option;
 }
 
-(* Read element [e] as of the step that recorded [newest]: it must have
-   arrived by then and still be inside the analysed window. Inlined so
-   that the float is not boxed. *)
-let[@inline] window_get win ~newest e =
-  assert (e <= newest && e > newest - win.cap && e >= 0);
-  let slot = win.head - (win.newest - e) in
-  win.data.(if slot < 0 then slot + Array.length win.data else slot)
-
 let window_append win v =
   win.newest <- win.newest + 1;
   win.head <- (if win.head + 1 = Array.length win.data then 0 else win.head + 1);
@@ -101,14 +96,49 @@ let window_append win v =
 (* Pending words are evaluated in blocks of up to this many cells. *)
 let block_cells = 64
 
+(* Check the reads of block cells [a, b) from ring elements [e + a,
+   e + b) against the [newest] each word recorded at its own step: every
+   read must have arrived by then, still lie inside the analysed window
+   and not precede the stream. The [newest] of consecutive words differ
+   by 0 or W (asserted in [evaluate_pending]) while the reads of whole
+   words advance by exactly W, so among whole words the first binds the
+   oldest read and the last the newest (clamped into the run when it
+   has no whole word). The partial words at either end are checked with
+   their own reads. This is exactly the check of every read, on at most
+   four words. *)
+let check_word ~w win e a b q =
+  let newest = win.recorded.(q) in
+  let first = e + max a (q * w) and last = e + min b ((q + 1) * w) - 1 in
+  assert (last <= newest && first > newest - win.cap && first >= 0)
+
+let check_run ~w win e a b =
+  let first = a / w and last = (b - 1) / w in
+  check_word ~w win e a b first;
+  check_word ~w win e a b last;
+  check_word ~w win e a b (min last ((a + w - 1) / w));
+  check_word ~w win e a b (max first ((b / w) - 1))
+
+(* Copy ring elements [from + a, from + b), checked, in at most two blits
+   across the wrap. A window spans the innermost axis: [step] is 1. *)
+let copy_window ~w win ~step:_ ~from dst pos a b =
+  check_run ~w win from a b;
+  let size = Array.length win.data and len = b - a in
+  let slot = win.head - (win.newest - (from + a)) in
+  let slot = if slot < 0 then slot + size else slot in
+  let first = min len (size - slot) in
+  Array.blit win.data slot dst (pos + a) first;
+  if first < len then Array.blit win.data 0 dst (pos + a + first) (len - first)
+
 let create ?probe ~program ~stencil ~compute_cycles ~inputs ~outputs () =
   let shape = Array.of_list program.Program.shape in
   let strides = Array.of_list (Program.strides program) in
   let rank = Array.length shape in
   let w = program.Program.vector_width in
   let n_words = Program.cells program / w in
-  let buffers = Sf_analysis.Internal_buffer.of_stencil program stencil in
-  let init_max = Sf_analysis.Internal_buffer.stencil_init_cycles program stencil in
+  let buffers = Ib.of_stencil program stencil in
+  let longest = List.fold_left (fun m (ib : Ib.t) -> max m ib.init_elements) 0 buffers in
+  let init_max = Sf_support.Util.ceil_div longest (max 1 w) in
+  let block_words = max 1 (block_cells / w) in
   let input_state (b : input_binding) =
     let axes = Array.of_list (Program.field_axes program b.field) in
     let window, start_step, strides =
@@ -121,20 +151,15 @@ let create ?probe ~program ~stencil ~compute_cycles ~inputs ~outputs () =
         (None, 0, own)
       end
       else begin
-        let info =
-          List.find
-            (fun (ib : Sf_analysis.Internal_buffer.t) -> String.equal ib.field b.field)
-            buffers
-        in
+        let info = List.find (fun (ib : Ib.t) -> String.equal ib.field b.field) buffers in
         let init_extra = Sf_support.Util.ceil_div info.init_elements (max 1 w) in
-        let cap =
-          ((init_extra + 2) * w) + max 0 (-info.Sf_analysis.Internal_buffer.min_flat) + w
-        in
+        let cap = ((init_extra + 2) * w) + max 0 (-info.min_flat) + w in
         (* A word is evaluated at the latest when it is emitted, at most
            compute_cycles + 1 steps after it was recorded; that many
            more words of ring keep its elements resident. *)
         let size = cap + ((compute_cycles + 2) * w) in
-        let window = { data = Array.make size 0.; cap; newest = -1; head = size - 1 } in
+        let recorded = Array.make block_words 0 in
+        let window = { data = Array.make size 0.; cap; newest = -1; head = size - 1; recorded } in
         (Some window, init_max - init_extra, strides)
       end
     in
@@ -150,19 +175,19 @@ let create ?probe ~program ~stencil ~compute_cycles ~inputs ~outputs () =
     }
   in
   let inputs = Array.of_list (List.map input_state inputs) in
-  let block_words = max 1 (block_cells / w) in
   let n = block_words * w in
   let body = Compile.compile ~cells:n stencil.Stencil.body in
   let tap (field, offsets) =
     match Array.find_index (fun (i : input_state) -> String.equal i.field field) inputs with
     | None -> failwith (Printf.sprintf "stencil %s: unbound access to %s" stencil.Stencil.name field)
     | Some input ->
-        let offs = Array.of_list offsets in
-        let flat = ref 0 in
-        Array.iteri (fun d o -> flat := !flat + (o * inputs.(input).strides.(d))) offs;
-        { input; offs; flat = !flat }
+        let copy =
+          match inputs.(input).window with
+          | Some win -> copy_window ~w win
+          | None -> Compile.copy_tensor (Option.get inputs.(input).prefetched).Tensor.data
+        in
+        { input; offs = Array.of_list offsets; copy }
   in
-  let halo_lo, halo_hi = Compile.halo body ~rank ~axes:(Program.field_axes program) in
   let pend_cap = compute_cycles + 2 in
   {
     name = stencil.Stencil.name;
@@ -176,11 +201,8 @@ let create ?probe ~program ~stencil ~compute_cycles ~inputs ~outputs () =
     outputs = Array.of_list outputs;
     body;
     taps = Array.map tap (Compile.accesses body);
-    halo_lo;
-    halo_hi;
     block_words;
-    block_idx = Array.make (n * rank) 0;
-    block_interior = Array.make n false;
+    block_idx = Array.make rank 0;
     block_oob = Array.make n false;
     block_out = Array.make n 0.;
     shrink = stencil.Stencil.shrink;
@@ -215,98 +237,47 @@ let next_release t = if t.pend_count = 0 then max_int else t.pend_release.(t.pen
 let consuming_active t i =
   Option.is_some i.window && t.step >= i.start_step && t.step - i.start_step < t.n_words
 
-(* Whether block cell [k] reads [tap] of [input] inside the domain. *)
-let in_domain t input tap k =
-  let base = k * Array.length t.shape in
-  let ok = ref true in
-  for d = 0 to Array.length input.axes - 1 do
-    let i = t.block_idx.(base + input.axes.(d)) + tap.offs.(d) in
-    if i < 0 || i >= t.shape.(input.axes.(d)) then ok := false
-  done;
-  !ok
-
-let head_word t = t.step - t.init_max - t.pend_count
-
-(* Fill access [a] for the block's [n] cells. Window reads are checked
-   against the [newest] recorded at each word's own step. *)
+(* Fill access [a] for the block's [n] cells. *)
 let gather t a dst pos n =
   let tap = t.taps.(a) in
-  let input = t.inputs.(tap.input) in
-  let w = t.w in
-  match input.window with
-  | Some win ->
-      let ni = Array.length t.inputs and cell0 = head_word t * w in
-      for q = 0 to (n / w) - 1 do
-        let slot = (t.pend_head + q) mod t.pend_cap in
-        let newest = t.pend_newest.((slot * ni) + tap.input) in
-        for k = q * w to ((q + 1) * w) - 1 do
-          let cell = cell0 + k in
-          if t.block_interior.(k) || in_domain t input tap k then
-            dst.(pos + k) <- window_get win ~newest (cell + tap.flat)
-          else begin
-            t.block_oob.(k) <- true;
-            dst.(pos + k) <-
-              (match input.boundary with
-              | Boundary.Constant c -> c
-              | Boundary.Copy -> window_get win ~newest cell)
-          end
-        done
-      done
-  | None ->
-      let data = (Option.get input.prefetched).Tensor.data in
-      let rank = Array.length t.shape in
-      for k = 0 to n - 1 do
-        let center = ref 0 in
-        for d = 0 to Array.length input.axes - 1 do
-          center := !center + (t.block_idx.((k * rank) + input.axes.(d)) * input.strides.(d))
-        done;
-        if t.block_interior.(k) || in_domain t input tap k then
-          dst.(pos + k) <- data.(!center + tap.flat)
-        else begin
-          t.block_oob.(k) <- true;
-          dst.(pos + k) <-
-            (match input.boundary with Boundary.Constant c -> c | Boundary.Copy -> data.(!center))
-        end
-      done
+  let i = t.inputs.(tap.input) in
+  Compile.gather_row ~extents:t.shape ~idx:t.block_idx ~axes:i.axes ~offs:tap.offs
+    ~strides:i.strides ~boundary:i.boundary ~oob:t.block_oob ~copy:tap.copy dst pos n
 
 (* Evaluate the pending words that have no values yet, up to one block
-   from the head. Their cells are consecutive, so the multi-index is
-   carried from cell to cell. *)
+   from the head and no further than the end of the head's row (W
+   divides the innermost extent, so the row ends on a word boundary). *)
 let evaluate_pending t =
-  let rank = Array.length t.shape in
-  let words = min t.pend_count t.block_words in
-  let n = words * t.w in
+  let rank = Array.length t.shape and w = t.w in
   let idx = t.block_idx in
-  let rem = ref (head_word t * t.w) in
+  let rem = ref ((t.step - t.init_max - t.pend_count) * w) in
   for d = 0 to rank - 1 do
     idx.(d) <- !rem / t.strides.(d);
     rem := !rem mod t.strides.(d)
   done;
-  for k = 0 to n - 1 do
-    let base = k * rank in
-    if k > 0 then begin
-      Array.blit idx (base - rank) idx base rank;
-      let d = ref (rank - 1) in
-      while !d > 0 && idx.(base + !d) = t.shape.(!d) - 1 do
-        idx.(base + !d) <- 0;
-        decr d
-      done;
-      idx.(base + !d) <- idx.(base + !d) + 1
-    end;
-    let inside = ref true in
-    for d = 0 to rank - 1 do
-      let i = idx.(base + d) in
-      if i < t.halo_lo.(d) || i >= t.shape.(d) - t.halo_hi.(d) then inside := false
-    done;
-    t.block_interior.(k) <- !inside
+  let words = min t.pend_count (min t.block_words ((t.shape.(rank - 1) - idx.(rank - 1)) / w)) in
+  let n = words * w in
+  let ni = Array.length t.inputs in
+  for k = 0 to ni - 1 do
+    match t.inputs.(k).window with
+    | None -> ()
+    | Some win ->
+        let slot = ref t.pend_head in
+        for q = 0 to words - 1 do
+          let newest = t.pend_newest.((!slot * ni) + k) in
+          (* A step shifts at most one word into each window. *)
+          assert (q = 0 || newest = win.recorded.(q - 1) || newest = win.recorded.(q - 1) + w);
+          win.recorded.(q) <- newest;
+          slot := if !slot + 1 = t.pend_cap then 0 else !slot + 1
+        done
   done;
   Array.fill t.block_oob 0 n false;
   Compile.eval t.body ~n ~gather:(gather t) t.block_out 0;
   for q = 0 to words - 1 do
-    let vbase = ((t.pend_head + q) mod t.pend_cap) * t.w in
-    Array.blit t.block_out (q * t.w) t.pend_values vbase t.w;
-    for lane = 0 to t.w - 1 do
-      t.pend_valid.(vbase + lane) <- not (t.shrink && t.block_oob.((q * t.w) + lane))
+    let vbase = ((t.pend_head + q) mod t.pend_cap) * w in
+    for lane = 0 to w - 1 do
+      t.pend_values.(vbase + lane) <- t.block_out.((q * w) + lane);
+      t.pend_valid.(vbase + lane) <- not (t.shrink && t.block_oob.((q * w) + lane))
     done
   done;
   t.pend_ready <- words
