@@ -14,7 +14,10 @@
 
    Each case simulates a program to completion with unconstrained
    bandwidth (the hot configuration of the evaluation harness), checks
-   the run completed, and reports the median of three runs. *)
+   the run completed, and reports the median of three runs. The
+   reference interpreter runs the same inputs as many times: the ratio
+   of the two medians is what the cycle-level schedule costs on top of
+   evaluating the stencil bodies. *)
 open Stencilflow
 
 type case = { name : string; program : Program.t; runs : int }
@@ -80,6 +83,18 @@ let measure ?(config = Engine.Config.default) case =
     stages = List.length p.Program.stencils;
   }
 
+(* The median of the reference interpreter's runs on [measure]'s inputs. *)
+let interp_seconds case =
+  let p = case.program in
+  let inputs = Interp.random_inputs p in
+  let samples =
+    List.init case.runs (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        ignore (Interp.run p ~inputs);
+        Unix.gettimeofday () -. t0)
+  in
+  List.nth (List.sort compare samples) (case.runs / 2)
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let quick = List.mem "--quick" args in
@@ -88,16 +103,18 @@ let () =
      below is only meaningful relative to this. *)
   let host_cores = Executor.default_jobs () in
   Printf.printf "host cores: %d\n" host_cores;
-  Printf.printf "%-32s %10s %10s %14s %14s\n" "case" "cycles" "wall [s]" "cells/s" "cycles/s";
-  let results = List.map measure (cases ~quick) in
+  Printf.printf "%-32s %10s %10s %14s %14s %10s %10s\n" "case" "cycles" "wall [s]" "cells/s"
+    "cycles/s" "interp [s]" "sim/interp";
+  let results = List.map (fun c -> (measure c, interp_seconds c)) (cases ~quick) in
   List.iter
-    (fun m ->
+    (fun (m, interp) ->
       (* Throughput in *simulated stage-cells* per wall second: each chain
          stage computes every cell once, so deeper chains do more work. *)
       let stage_cells = float_of_int (m.cells * m.stages) in
-      Printf.printf "%-32s %10d %10.3f %14.3e %14.3e\n" m.case.name m.cycles m.seconds
-        (stage_cells /. m.seconds)
-        (float_of_int m.cycles /. m.seconds))
+      Printf.printf "%-32s %10d %10.3f %14.3e %14.3e %10.3f %10.2f\n" m.case.name m.cycles
+        m.seconds (stage_cells /. m.seconds)
+        (float_of_int m.cycles /. m.seconds)
+        interp (m.seconds /. interp))
     results;
   let json =
     Json.Obj
@@ -107,7 +124,7 @@ let () =
         ( "cases",
           Json.List
             (List.map
-               (fun m ->
+               (fun (m, interp) ->
                  Json.Obj
                    [
                      ("name", Json.String m.case.name);
@@ -118,6 +135,8 @@ let () =
                      ( "stage_cells_per_second",
                        Json.Float (float_of_int (m.cells * m.stages) /. m.seconds) );
                      ("cycles_per_second", Json.Float (float_of_int m.cycles /. m.seconds));
+                     ("interp_seconds", Json.Float interp);
+                     ("sim_over_interp", Json.Float (m.seconds /. interp));
                    ])
                results) );
       ]
